@@ -74,20 +74,26 @@ pub enum Evicted {
 /// A single socket's last-level cache.
 ///
 /// Storage is a flat slab of way slots, `cfg.ways` consecutive slots per
-/// set, indexed by `line % n_sets`. Every lookup on the DMA and copy paths
-/// walks one set per 64-byte line, so the index must be a direct slice
-/// access rather than a hash probe. Two properties matter for the
-/// zero-allocation hot path:
+/// set, indexed by `line % n_sets`. The DMA and copy paths walk one set per
+/// 64-byte line, and the memcached working set fills every set (NVMe reads
+/// fill every set's DDIO ways), so the walk is built to scan each set once
+/// per line:
 ///
+/// * Walks take their set indices from `Llc::walk`: one division for
+///   the first line of an access, then a wrap-around increment per line.
+///   Every LLC of a machine has the same geometry, so the index also
+///   serves the peer snoops.
+/// * Each operation searches the resident tags first and looks for an LRU
+///   victim only on a miss that fills — and for the DDIO partition's
+///   victim only on a DDIO fill. A CPU probe that misses returns its fill
+///   slot, so the fill that follows does not scan again.
 /// * The slab is zero-initialized primitive arrays: `vec![0; n]` takes the
 ///   zeroed-page allocation path, so construction costs three allocator
 ///   calls regardless of geometry, and no slot is ever allocated lazily
 ///   during simulation.
 /// * Each set keeps its resident lines packed at the front of its slot
 ///   range (`lens` holds the per-set count, maintained by swap-remove on
-///   invalidation). Scans iterate only the resident prefix — typically one
-///   or two slots in the sparse footprints the experiments generate —
-///   rather than the full associativity.
+///   invalidation), so scans cover the resident prefix only.
 #[derive(Debug, Clone)]
 pub struct Llc {
     cfg: LlcConfig,
@@ -98,7 +104,7 @@ pub struct Llc {
     meta: Vec<u64>,
     /// Resident-line count per set (dense prefix length).
     lens: Vec<u8>,
-    n_sets: u64,
+    n_sets: usize,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -115,13 +121,13 @@ impl Llc {
         assert!(cfg.ways <= u8::MAX as usize, "occupancy counts are u8");
         assert!(cfg.ddio_ways <= cfg.ways, "DDIO ways cannot exceed total");
         assert!(cfg.sets() > 0, "cache must have at least one set");
-        let n_sets = cfg.sets();
-        let slots = n_sets as usize * cfg.ways;
+        let n_sets = cfg.sets() as usize;
+        let slots = n_sets * cfg.ways;
         Llc {
             cfg,
             tags: vec![0; slots],
             meta: vec![0; slots],
-            lens: vec![0; n_sets as usize],
+            lens: vec![0; n_sets],
             n_sets,
             tick: 0,
             hits: 0,
@@ -134,21 +140,30 @@ impl Llc {
         self.cfg
     }
 
-    /// Set index of `line`.
+    /// `(line, set index)` for the `lines` consecutive lines from `first`:
+    /// one division for the first set, then a step with wrap-around.
+    pub(crate) fn walk(&self, first: u64, lines: u64) -> impl Iterator<Item = (u64, usize)> {
+        let n_sets = self.n_sets;
+        let mut set = self.set_of(first);
+        (first..first + lines).map(move |line| {
+            let at = set;
+            set += 1;
+            if set == n_sets {
+                set = 0;
+            }
+            (line, at)
+        })
+    }
+
     fn set_of(&self, line: u64) -> usize {
-        (line % self.n_sets) as usize
+        (line % self.n_sets as u64) as usize
     }
 
-    /// Slot range of the resident prefix of the set holding `line`.
-    fn resident_range(&self, line: u64) -> std::ops::Range<usize> {
-        let set = self.set_of(line);
+    /// Slot of `line` if it is resident in `set`.
+    fn slot_of(&self, set: usize, line: u64) -> Option<usize> {
         let start = set * self.cfg.ways;
-        start..start + self.lens[set] as usize
-    }
-
-    /// Slot index of `line` within its set, if resident.
-    fn find(&self, line: u64) -> Option<usize> {
-        self.resident_range(line).find(|&i| self.tags[i] == line)
+        let resident = &self.tags[start..start + self.lens[set] as usize];
+        resident.iter().position(|&t| t == line).map(|i| start + i)
     }
 
     fn state_of(meta: u64) -> LineState {
@@ -159,25 +174,176 @@ impl Llc {
         }
     }
 
+    fn flags(state: LineState, ddio: bool) -> u64 {
+        let dirty = if state == LineState::Modified {
+            DIRTY
+        } else {
+            0
+        };
+        dirty | if ddio { DDIO } else { 0 }
+    }
+
+    /// Restamps resident `slot` with `flags` at a fresh tick. A dirty bit
+    /// sticks: a Modified line never silently becomes Shared.
+    fn touch(&mut self, slot: usize, flags: u64) {
+        self.tick += 1;
+        self.meta[slot] = flags | (self.meta[slot] & DIRTY) | (self.tick << TICK_SHIFT);
+    }
+
+    /// Where a non-DDIO fill of a missing line goes: the first free slot of
+    /// `set`, or its LRU line when the set is full. Last-use ticks are
+    /// unique — every touch consumes a fresh tick — so the smallest
+    /// metadata word is the LRU line's, whatever the slot order.
+    fn victim(&self, set: usize) -> usize {
+        let start = set * self.cfg.ways;
+        let len = self.lens[set] as usize;
+        if len < self.cfg.ways {
+            return start + len;
+        }
+        let mut lru = start;
+        for i in start + 1..start + len {
+            if self.meta[i] < self.meta[lru] {
+                lru = i;
+            }
+        }
+        lru
+    }
+
+    /// Where a DDIO fill of a missing line goes: the LRU line of the DDIO
+    /// partition once it holds `ddio_ways` lines, else where any other
+    /// fill would go.
+    fn ddio_victim(&self, set: usize) -> usize {
+        let start = set * self.cfg.ways;
+        let mut ddio_resident = 0;
+        let mut ddio_lru: Option<usize> = None;
+        for i in start..start + self.lens[set] as usize {
+            if self.meta[i] & DDIO != 0 {
+                ddio_resident += 1;
+                if ddio_lru.is_none_or(|b| self.meta[i] < self.meta[b]) {
+                    ddio_lru = Some(i);
+                }
+            }
+        }
+        if ddio_resident >= self.cfg.ddio_ways {
+            ddio_lru.expect("partition is non-empty when full")
+        } else {
+            self.victim(set)
+        }
+    }
+
+    /// Puts `line` into `slot` of `set` at a fresh tick, evicting the
+    /// slot's line if it is resident. The slot comes from
+    /// [`probe_at`](Self::probe_at) for a CPU miss.
+    pub(crate) fn fill(
+        &mut self,
+        set: usize,
+        slot: usize,
+        line: u64,
+        state: LineState,
+        ddio: bool,
+    ) -> Evicted {
+        self.tick += 1;
+        let evicted = if slot < set * self.cfg.ways + self.lens[set] as usize {
+            if self.meta[slot] & DIRTY != 0 {
+                Evicted::Dirty(self.tags[slot])
+            } else {
+                Evicted::Clean
+            }
+        } else {
+            self.lens[set] += 1;
+            Evicted::None
+        };
+        self.tags[slot] = line;
+        self.meta[slot] = Self::flags(state, ddio) | (self.tick << TICK_SHIFT);
+        evicted
+    }
+
+    /// CPU lookup of `line` in `set`, counted as a hit or a miss and
+    /// consuming one tick. `Ok(slot)` on a hit (recency updated); on a
+    /// miss, `Err(slot)` is where a non-DDIO [`fill`](Self::fill) puts it.
+    pub(crate) fn probe_at(&mut self, set: usize, line: u64) -> Result<usize, usize> {
+        match self.slot_of(set, line) {
+            Some(slot) => {
+                self.hits += 1;
+                self.touch(slot, self.meta[slot] & DDIO);
+                Ok(slot)
+            }
+            None => {
+                self.tick += 1;
+                self.misses += 1;
+                Err(self.victim(set))
+            }
+        }
+    }
+
+    /// Upgrades the line a CPU write hit at `slot` to `Modified`; it then
+    /// belongs to the CPU, not to the DDIO partition.
+    pub(crate) fn upgrade_cpu(&mut self, slot: usize) {
+        self.touch(slot, DIRTY);
+    }
+
+    /// Inserts (or upgrades) `line` in `set`, consuming one tick. `ddio`
+    /// confines a fill to the DDIO way partition.
+    pub(crate) fn insert_at(
+        &mut self,
+        set: usize,
+        line: u64,
+        state: LineState,
+        ddio: bool,
+    ) -> Evicted {
+        match self.slot_of(set, line) {
+            Some(slot) => {
+                self.touch(slot, Self::flags(state, ddio));
+                Evicted::None
+            }
+            None => {
+                let slot = if ddio {
+                    self.ddio_victim(set)
+                } else {
+                    self.victim(set)
+                };
+                self.fill(set, slot, line, state, ddio)
+            }
+        }
+    }
+
+    /// State of `line` in `set`, without touching recency or statistics.
+    pub(crate) fn peek_at(&self, set: usize, line: u64) -> Option<LineState> {
+        self.slot_of(set, line)
+            .map(|slot| Self::state_of(self.meta[slot]))
+    }
+
+    /// Removes `line` from `set`, returning the state it had.
+    pub(crate) fn invalidate_at(&mut self, set: usize, line: u64) -> Option<LineState> {
+        let slot = self.slot_of(set, line)?;
+        let state = Self::state_of(self.meta[slot]);
+        // Swap-remove within the set to keep the resident prefix dense.
+        let last = set * self.cfg.ways + self.lens[set] as usize - 1;
+        self.tags[slot] = self.tags[last];
+        self.meta[slot] = self.meta[last];
+        self.lens[set] -= 1;
+        Some(state)
+    }
+
+    /// Downgrades `line` in `set` to `Shared`, returning the state it had.
+    pub(crate) fn downgrade_at(&mut self, set: usize, line: u64) -> Option<LineState> {
+        let slot = self.slot_of(set, line)?;
+        let state = Self::state_of(self.meta[slot]);
+        self.meta[slot] &= !DIRTY;
+        Some(state)
+    }
+
     /// Looks up the line containing `addr`; returns its state on hit.
     /// Updates recency and hit/miss statistics.
     pub fn probe(&mut self, addr: PhysAddr) -> Option<LineState> {
-        let line = addr.line();
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(i) = self.find(line) {
-            self.meta[i] = (self.meta[i] & (DIRTY | DDIO)) | (tick << TICK_SHIFT);
-            self.hits += 1;
-            return Some(Self::state_of(self.meta[i]));
-        }
-        self.misses += 1;
-        None
+        let slot = self.probe_at(self.set_of(addr.line()), addr.line()).ok()?;
+        Some(Self::state_of(self.meta[slot]))
     }
 
     /// Looks up without disturbing recency or statistics (snoop from another
     /// agent).
     pub fn peek(&self, addr: PhysAddr) -> Option<LineState> {
-        self.find(addr.line()).map(|i| Self::state_of(self.meta[i]))
+        self.peek_at(self.set_of(addr.line()), addr.line())
     }
 
     /// Inserts (or upgrades) the line containing `addr`.
@@ -186,105 +352,21 @@ impl Llc {
     /// device writes cannot occupy the whole cache. Returns eviction
     /// information so the caller can account the writeback.
     pub fn insert(&mut self, addr: PhysAddr, state: LineState, ddio: bool) -> Evicted {
-        let line = addr.line();
-        self.tick += 1;
-        let tick = self.tick;
-        let fresh = if state == LineState::Modified {
-            DIRTY
-        } else {
-            0
-        } | if ddio { DDIO } else { 0 }
-            | (tick << TICK_SHIFT);
-
-        // One pass over the resident prefix gathers everything a decision
-        // needs: the tag match, the partition occupancy, and the LRU victim
-        // of both the whole set and the DDIO partition. Last-use ticks are
-        // unique — every touch consumes a fresh tick — so the victims are
-        // deterministic regardless of slot order.
-        let range = self.resident_range(line);
-        let resident = range.len();
-        let mut ddio_resident = 0usize;
-        let mut lru: Option<usize> = None;
-        let mut ddio_lru: Option<usize> = None;
-        for i in range {
-            if self.tags[i] == line {
-                // Upgrades stick; a Modified line never silently becomes
-                // Shared.
-                self.meta[i] = fresh | (self.meta[i] & DIRTY);
-                return Evicted::None;
-            }
-            if lru.is_none_or(|b| self.meta[i] >> TICK_SHIFT < self.meta[b] >> TICK_SHIFT) {
-                lru = Some(i);
-            }
-            if self.meta[i] & DDIO != 0 {
-                ddio_resident += 1;
-                if ddio_lru.is_none_or(|b| self.meta[i] >> TICK_SHIFT < self.meta[b] >> TICK_SHIFT)
-                {
-                    ddio_lru = Some(i);
-                }
-            }
-        }
-
-        // Non-DDIO fills may use every way.
-        let (limit, partition_len) = if ddio {
-            (self.cfg.ddio_ways, ddio_resident)
-        } else {
-            (self.cfg.ways, resident)
-        };
-
-        let (slot, evicted) = if partition_len >= limit || resident >= self.cfg.ways {
-            // Evict the LRU line of the relevant partition (or of the whole
-            // set if the set itself is full).
-            let victim = if partition_len >= limit && ddio {
-                ddio_lru
-            } else {
-                lru
-            }
-            .expect("partition is non-empty when full");
-            let evicted = if self.meta[victim] & DIRTY != 0 {
-                Evicted::Dirty(self.tags[victim])
-            } else {
-                Evicted::Clean
-            };
-            (victim, evicted)
-        } else {
-            // Grow the resident prefix by one slot.
-            let set = self.set_of(line);
-            self.lens[set] += 1;
-            (set * self.cfg.ways + resident, Evicted::None)
-        };
-
-        self.tags[slot] = line;
-        self.meta[slot] = fresh;
-        evicted
+        self.insert_at(self.set_of(addr.line()), addr.line(), state, ddio)
     }
 
     /// Removes the line containing `addr` if present, returning its state.
     /// The caller decides whether a `Modified` line's contents matter (a full
     /// DMA overwrite drops them; an eviction writes them back).
     pub fn invalidate(&mut self, addr: PhysAddr) -> Option<LineState> {
-        let line = addr.line();
-        let i = self.find(line)?;
-        let state = Self::state_of(self.meta[i]);
-        // Swap-remove within the set to keep the resident prefix dense.
-        let set = self.set_of(line);
-        let last = set * self.cfg.ways + self.lens[set] as usize - 1;
-        self.tags[i] = self.tags[last];
-        self.meta[i] = self.meta[last];
-        self.lens[set] -= 1;
-        Some(state)
+        self.invalidate_at(self.set_of(addr.line()), addr.line())
     }
 
     /// Downgrades a `Modified` line to `Shared` (after a snoop writeback).
     /// Returns `true` if the line was present.
     pub fn downgrade(&mut self, addr: PhysAddr) -> bool {
-        match self.find(addr.line()) {
-            Some(i) => {
-                self.meta[i] &= !DIRTY;
-                true
-            }
-            None => false,
-        }
+        self.downgrade_at(self.set_of(addr.line()), addr.line())
+            .is_some()
     }
 
     /// Lifetime hit count.

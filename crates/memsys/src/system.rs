@@ -201,6 +201,9 @@ pub struct MemSystem {
     qpi: Interconnect,
     alloc: PhysAllocator,
     memo: StallMemo,
+    /// Dirty lines a walk evicts, per home node, until
+    /// [`flush_writebacks`](Self::flush_writebacks) charges them.
+    writebacks: Vec<u64>,
 }
 
 impl MemSystem {
@@ -218,6 +221,7 @@ impl MemSystem {
             qpi,
             alloc,
             memo: StallMemo::default(),
+            writebacks: vec![0; nodes],
         }
     }
 
@@ -300,35 +304,44 @@ impl MemSystem {
         let mut hit_lines = 0u64;
         let mut miss_lines = 0u64;
         let mut c2c_lines = 0u64;
-        let mut wb = WritebackAcc::default();
+        let state = if write {
+            LineState::Modified
+        } else {
+            LineState::Shared
+        };
 
-        for i in 0..lines {
-            let a = PhysAddr(addr.line() * LINE_BYTES + i * LINE_BYTES);
-            let local_state = self.llcs[node.0].probe(a);
-            match local_state {
-                Some(_) => {
+        for (line, set) in self.llcs[node.0].walk(addr.line(), lines) {
+            match self.llcs[node.0].probe_at(set, line) {
+                Ok(slot) => {
                     hit_lines += 1;
                     if write {
-                        // Upgrade to Modified; invalidate peers' Shared copies.
-                        self.llcs[node.0].insert(a, LineState::Modified, false);
-                        self.invalidate_peers(a, node, &mut wb, false);
+                        // Upgrade to Modified; peers drop their Shared copies.
+                        self.llcs[node.0].upgrade_cpu(slot);
+                        for peer in 0..self.llcs.len() {
+                            if peer != node.0 {
+                                self.llcs[peer].invalidate_at(set, line);
+                            }
+                        }
                     }
                 }
-                None => {
-                    // Check peers for a dirty copy (cache-to-cache transfer).
+                Err(slot) => {
+                    // Snoop each peer once: a write drops its copy, a read
+                    // downgrades it. A dirty copy is a cache-to-cache
+                    // transfer with an implicit writeback to home; it is
+                    // the only copy (single-writer invariant), so the
+                    // snoop stops there.
                     let mut served_c2c = false;
                     for peer in 0..self.llcs.len() {
                         if peer == node.0 {
                             continue;
                         }
-                        if let Some(LineState::Modified) = self.llcs[peer].peek(a) {
-                            // Implicit writeback to home + transfer to requester.
-                            wb.add(home, 1);
-                            if write {
-                                self.llcs[peer].invalidate(a);
-                            } else {
-                                self.llcs[peer].downgrade(a);
-                            }
+                        let prior = if write {
+                            self.llcs[peer].invalidate_at(set, line)
+                        } else {
+                            self.llcs[peer].downgrade_at(set, line)
+                        };
+                        if prior == Some(LineState::Modified) {
+                            self.writebacks[home.0] += 1;
                             c2c_lines += 1;
                             served_c2c = true;
                             break;
@@ -336,22 +349,11 @@ impl MemSystem {
                     }
                     if !served_c2c {
                         miss_lines += 1;
-                        if write {
-                            // Drop any Shared peer copies.
-                            self.invalidate_peers(a, node, &mut wb, false);
-                        }
                     }
-                    let state = if write {
-                        LineState::Modified
-                    } else {
-                        LineState::Shared
-                    };
-                    match self.llcs[node.0].insert(a, state, false) {
-                        Evicted::Dirty(victim_line) => {
-                            let victim_home = PhysAddr(victim_line * LINE_BYTES).home();
-                            wb.add(victim_home, 1);
-                        }
-                        Evicted::Clean | Evicted::None => {}
+                    if let Evicted::Dirty(victim) =
+                        self.llcs[node.0].fill(set, slot, line, state, false)
+                    {
+                        self.writebacks[PhysAddr(victim * LINE_BYTES).home().0] += 1;
                     }
                 }
             }
@@ -367,7 +369,7 @@ impl MemSystem {
         let idle = miss_bytes == 0
             || (self.dram[home.0].read_queue_delay(now) == Dur::ZERO
                 && (home == node || self.qpi.queue_delay(now, home, node) == Dur::ZERO));
-        self.flush_writebacks(now, node, &wb);
+        self.flush_writebacks(now, node);
         // Given the walk's classification, the stall arithmetic is pure when
         // the links are idle — except for cache-to-cache transfers, whose
         // peer snoop loop stays on the slow path.
@@ -506,13 +508,11 @@ impl MemSystem {
         if local {
             // DDIO serves local DMA reads from the LLC when the data is
             // there; only misses touch DRAM.
-            let mut hit_lines = 0u64;
-            for i in 0..lines {
-                let a = PhysAddr(addr.line() * LINE_BYTES + i * LINE_BYTES);
-                if self.llcs[home.0].peek(a).is_some() {
-                    hit_lines += 1;
-                }
-            }
+            let llc = &self.llcs[home.0];
+            let hit_lines = llc
+                .walk(addr.line(), lines)
+                .filter(|&(line, set)| llc.peek_at(set, line).is_some())
+                .count() as u64;
             let miss_lines = lines - hit_lines;
             let miss_bytes = miss_lines * LINE_BYTES;
             let idle = miss_lines == 0 || self.dram[home.0].read_queue_delay(now) == Dur::ZERO;
@@ -595,20 +595,21 @@ impl MemSystem {
         let bytes = lines * LINE_BYTES;
 
         if local && self.cfg.ddio {
-            let mut wb = WritebackAcc::default();
-            for i in 0..lines {
-                let a = PhysAddr(addr.line() * LINE_BYTES + i * LINE_BYTES);
+            for (line, set) in self.llcs[home.0].walk(addr.line(), lines) {
                 // Peers lose their copies (full overwrite: dirty data is
                 // simply superseded).
-                self.invalidate_all_peers(a, home);
-                match self.llcs[home.0].insert(a, LineState::Modified, true) {
-                    Evicted::Dirty(victim) => {
-                        wb.add(PhysAddr(victim * LINE_BYTES).home(), 1);
+                for peer in 0..self.llcs.len() {
+                    if peer != home.0 {
+                        self.llcs[peer].invalidate_at(set, line);
                     }
-                    Evicted::Clean | Evicted::None => {}
+                }
+                if let Evicted::Dirty(victim) =
+                    self.llcs[home.0].insert_at(set, line, LineState::Modified, true)
+                {
+                    self.writebacks[PhysAddr(victim * LINE_BYTES).home().0] += 1;
                 }
             }
-            self.flush_writebacks(now, home, &wb);
+            self.flush_writebacks(now, home);
             // The stall is pure in `lines` (no bandwidth server on this
             // path), so the memo needs no idleness gate.
             let key = StallMemo::key(MEMO_DMA_WRITE_DDIO, home.0, 0, lines);
@@ -621,10 +622,9 @@ impl MemSystem {
             self.memo.put(key, Dur::ZERO, Dur::ZERO, exposed);
             exposed
         } else {
-            for i in 0..lines {
-                let a = PhysAddr(addr.line() * LINE_BYTES + i * LINE_BYTES);
+            for (line, set) in self.llcs[home.0].walk(addr.line(), lines) {
                 for llc in &mut self.llcs {
-                    llc.invalidate(a);
+                    llc.invalidate_at(set, line);
                 }
             }
             let idle = self.dram[home.0].write_queue_delay(now) == Dur::ZERO
@@ -740,36 +740,12 @@ impl MemSystem {
         self.memo.invalidate();
     }
 
-    fn invalidate_peers(
-        &mut self,
-        a: PhysAddr,
-        keep: NodeId,
-        wb: &mut WritebackAcc,
-        writeback_dirty: bool,
-    ) {
-        for (i, llc) in self.llcs.iter_mut().enumerate() {
-            if i == keep.0 {
-                continue;
-            }
-            if let Some(LineState::Modified) = llc.invalidate(a) {
-                if writeback_dirty {
-                    wb.add(a.home(), 1);
-                }
-            }
-        }
-    }
-
-    fn invalidate_all_peers(&mut self, a: PhysAddr, keep: NodeId) {
-        for (i, llc) in self.llcs.iter_mut().enumerate() {
-            if i != keep.0 {
-                llc.invalidate(a);
-            }
-        }
-    }
-
-    fn flush_writebacks(&mut self, now: Time, from: NodeId, wb: &WritebackAcc) {
-        for (node, lines) in wb.per_node.iter().enumerate() {
-            if *lines > 0 {
+    /// Charges the accumulated writebacks to DRAM (and the interconnect for
+    /// remote homes) and zeroes the accumulator.
+    fn flush_writebacks(&mut self, now: Time, from: NodeId) {
+        for node in 0..self.writebacks.len() {
+            let lines = std::mem::take(&mut self.writebacks[node]);
+            if lines > 0 {
                 let bytes = lines * LINE_BYTES;
                 self.dram[node].write(now, bytes);
                 if node != from.0 {
@@ -777,20 +753,6 @@ impl MemSystem {
                 }
             }
         }
-    }
-}
-
-#[derive(Debug, Default)]
-struct WritebackAcc {
-    per_node: Vec<u64>,
-}
-
-impl WritebackAcc {
-    fn add(&mut self, node: NodeId, lines: u64) {
-        if self.per_node.len() <= node.0 {
-            self.per_node.resize(node.0 + 1, 0);
-        }
-        self.per_node[node.0] += lines;
     }
 }
 

@@ -1,0 +1,94 @@
+//! Differential test of the multi-line LLC walks.
+//!
+//! `cpu_read`, `cpu_write`, `dma_read` and `dma_write` walk their lines with
+//! a set cursor: one division for the first line's set, then a wrap-around
+//! step per line, shared by every socket's LLC. Issuing the same lines one
+//! call per line locates each set from scratch, so the two must agree on
+//! every byte counter and on the cached state of every line. The cache has
+//! 16 sets and calls span up to 80 lines, so most multi-line calls wrap
+//! the set index, several times over for the longest.
+
+use memsys::cache::LineState;
+use memsys::{AccessKind, Counters, LlcConfig, MemConfig, MemSystem, NodeId, PhysAddr};
+use simcore::{SimRng, Time};
+
+/// Lines per node's buffer: four times the cache, so sets conflict.
+const BUF_LINES: u64 = 256;
+const MAX_LINES: u64 = 80;
+
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    CpuRead,
+    CpuWrite,
+    DmaRead,
+    DmaWrite,
+}
+
+fn mem(ddio: bool) -> (MemSystem, [PhysAddr; 2]) {
+    let mut m = MemSystem::new(MemConfig {
+        llc: LlcConfig {
+            capacity_bytes: 16 * 4 * 64,
+            ways: 4,
+            ddio_ways: 2,
+        },
+        ddio,
+        ..MemConfig::dual_socket_broadwell()
+    });
+    let bufs = [0, 1].map(|n| m.alloc(NodeId(n), BUF_LINES * 64));
+    (m, bufs)
+}
+
+fn access(m: &mut MemSystem, t: Time, kind: Kind, node: NodeId, addr: PhysAddr, len: u64) {
+    match kind {
+        Kind::CpuRead => {
+            m.cpu_read(t, node, addr, len, AccessKind::Stream);
+        }
+        Kind::CpuWrite => {
+            m.cpu_write(t, node, addr, len, AccessKind::Pointer);
+        }
+        Kind::DmaRead => {
+            m.dma_read(t, node, addr, len);
+        }
+        Kind::DmaWrite => {
+            m.dma_write(t, node, addr, len);
+        }
+    }
+}
+
+/// Every line's state in both LLCs, plus the traffic counters.
+fn snapshot(m: &MemSystem, bufs: &[PhysAddr; 2]) -> (Counters, Vec<Option<LineState>>) {
+    let states = bufs
+        .iter()
+        .flat_map(|b| (0..BUF_LINES).map(move |l| b.offset(l * 64)))
+        .flat_map(|a| [0, 1].map(|n| m.peek_line(NodeId(n), a)))
+        .collect();
+    (m.counters(), states)
+}
+
+#[test]
+fn multi_line_walks_match_line_at_a_time() {
+    let mut r = SimRng::seed(0x5e7c);
+    for schedule in 0..48 {
+        let ddio = schedule % 4 != 3;
+        let (mut walked, bufs) = mem(ddio);
+        let (mut single, _) = mem(ddio);
+        let calls = 1 + r.below(60);
+        for call in 0..calls {
+            let kind = *r.pick(&[Kind::CpuRead, Kind::CpuWrite, Kind::DmaRead, Kind::DmaWrite]);
+            let node = NodeId(r.below(2) as usize);
+            let home = r.below(2) as usize;
+            let lines = 1 + r.below(MAX_LINES);
+            let start = bufs[home].offset(r.below(BUF_LINES - lines + 1) * 64);
+            let t = Time::from_us(call);
+            access(&mut walked, t, kind, node, start, lines * 64);
+            for l in 0..lines {
+                access(&mut single, t, kind, node, start.offset(l * 64), 64);
+            }
+            assert_eq!(
+                snapshot(&walked, &bufs),
+                snapshot(&single, &bufs),
+                "schedule {schedule} call {call}: {kind:?} by {node} of {lines} lines at {start}"
+            );
+        }
+    }
+}

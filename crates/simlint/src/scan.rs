@@ -23,7 +23,7 @@ const HASH_WRAPPER_FILE: &str = "crates/simcore/src/hash.rs";
 /// The zero-alloc hot-path list: (file suffix, steady-state functions).
 /// Mirrors DESIGN.md §6.2; the runtime `alloc_count` gate enforces the same
 /// contract dynamically over ~13k events.
-const HOT_FNS: [(&str, &[&str]); 6] = [
+const HOT_FNS: [(&str, &[&str]); 7] = [
     (
         "crates/kernel/src/host.rs",
         &[
@@ -41,7 +41,24 @@ const HOT_FNS: [(&str, &[&str]); 6] = [
     ),
     (
         "crates/memsys/src/cache.rs",
-        &["probe", "insert", "invalidate", "downgrade"],
+        &[
+            "walk",
+            "slot_of",
+            "touch",
+            "victim",
+            "ddio_victim",
+            "fill",
+            "probe_at",
+            "upgrade_cpu",
+            "insert_at",
+            "peek_at",
+            "invalidate_at",
+            "downgrade_at",
+        ],
+    ),
+    (
+        "crates/memsys/src/system.rs",
+        &["cpu_access", "dma_read", "dma_write", "flush_writebacks"],
     ),
     (
         "crates/simcore/src/outbuf.rs",
