@@ -12,8 +12,13 @@
 //! of a device carry the `ddio` flag and compete only for those ways, so
 //! device traffic cannot sweep the whole cache — exactly the behaviour that
 //! keeps NIC rings hot without destroying application working sets.
+//!
+//! Each cache also counts its resident lines per home node, which makes
+//! it an exact snoop filter: a walk that must drop or downgrade other
+//! sockets' copies of a line skips every cache that holds no line of that
+//! line's home.
 
-use crate::topology::{PhysAddr, LINE_BYTES};
+use crate::topology::{NodeId, PhysAddr, LINE_BYTES};
 
 /// Coherence state of a cached line (MESI-lite).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,22 +93,30 @@ pub enum Evicted {
 ///   victim only on a DDIO fill. A CPU probe that misses returns its fill
 ///   slot, so the fill that follows does not scan again.
 /// * The slab is zero-initialized primitive arrays: `vec![0; n]` takes the
-///   zeroed-page allocation path, so construction costs three allocator
+///   zeroed-page allocation path, so construction costs four allocator
 ///   calls regardless of geometry, and no slot is ever allocated lazily
-///   during simulation.
+///   during simulation. The arrays never change length, so they are held
+///   as boxed slices.
 /// * Each set keeps its resident lines packed at the front of its slot
 ///   range (`lens` holds the per-set count, maintained by swap-remove on
 ///   invalidation), so scans cover the resident prefix only.
+/// * `home_lines` counts the resident lines of each home node exactly, so
+///   a snoop or invalidation walk can skip a cache that holds no line of
+///   the access's home without scanning a set (`holds_home`). Only
+///   `fill`, `invalidate_at` and [`flush_all`](Self::flush_all) change
+///   which lines are resident, and they alone change the counts.
 #[derive(Debug, Clone)]
 pub struct Llc {
     cfg: LlcConfig,
     /// Line tag of each way slot; meaningful for the first `lens[set]`
     /// slots of each set's range.
-    tags: Vec<u64>,
+    tags: Box<[u64]>,
     /// Packed slot state: `DIRTY | DDIO | last_use << TICK_SHIFT`.
-    meta: Vec<u64>,
+    meta: Box<[u64]>,
     /// Resident-line count per set (dense prefix length).
-    lens: Vec<u8>,
+    lens: Box<[u8]>,
+    /// Resident-line count per home node, indexed by `NodeId.0`.
+    home_lines: Box<[u32]>,
     n_sets: usize,
     tick: u64,
     hits: u64,
@@ -111,23 +124,26 @@ pub struct Llc {
 }
 
 impl Llc {
-    /// Creates an empty LLC with the given geometry.
+    /// Creates an empty LLC with the given geometry, for a machine of
+    /// `nodes` NUMA nodes: every line it holds must have a home below that.
     ///
     /// # Panics
     /// Panics if the geometry is degenerate (zero ways, DDIO ways exceeding
     /// total ways, or zero sets).
-    pub fn new(cfg: LlcConfig) -> Self {
+    pub fn new(cfg: LlcConfig, nodes: usize) -> Self {
         assert!(cfg.ways > 0, "cache must have at least one way");
         assert!(cfg.ways <= u8::MAX as usize, "occupancy counts are u8");
         assert!(cfg.ddio_ways <= cfg.ways, "DDIO ways cannot exceed total");
         assert!(cfg.sets() > 0, "cache must have at least one set");
         let n_sets = cfg.sets() as usize;
         let slots = n_sets * cfg.ways;
+        assert!(slots <= u32::MAX as usize, "residency counts are u32");
         Llc {
             cfg,
-            tags: vec![0; slots],
-            meta: vec![0; slots],
-            lens: vec![0; n_sets],
+            tags: vec![0; slots].into_boxed_slice(),
+            meta: vec![0; slots].into_boxed_slice(),
+            lens: vec![0; n_sets].into_boxed_slice(),
+            home_lines: vec![0; nodes].into_boxed_slice(),
             n_sets,
             tick: 0,
             hits: 0,
@@ -157,6 +173,18 @@ impl Llc {
 
     fn set_of(&self, line: u64) -> usize {
         (line % self.n_sets as u64) as usize
+    }
+
+    /// Whether any resident line has home `home`. A cache for which this
+    /// is false holds none of the lines a walk over `home`'s memory
+    /// visits, so the walk may skip its sets.
+    pub(crate) fn holds_home(&self, home: NodeId) -> bool {
+        self.home_lines[home.0] != 0
+    }
+
+    /// Index into `home_lines` of the home of line tag `line`.
+    fn home_of(line: u64) -> usize {
+        PhysAddr(line * LINE_BYTES).home().0
     }
 
     /// Slot of `line` if it is resident in `set`.
@@ -244,8 +272,10 @@ impl Llc {
     ) -> Evicted {
         self.tick += 1;
         let evicted = if slot < set * self.cfg.ways + self.lens[set] as usize {
+            let old = self.tags[slot];
+            self.home_lines[Self::home_of(old)] -= 1;
             if self.meta[slot] & DIRTY != 0 {
-                Evicted::Dirty(self.tags[slot])
+                Evicted::Dirty(old)
             } else {
                 Evicted::Clean
             }
@@ -253,6 +283,7 @@ impl Llc {
             self.lens[set] += 1;
             Evicted::None
         };
+        self.home_lines[Self::home_of(line)] += 1;
         self.tags[slot] = line;
         self.meta[slot] = Self::flags(state, ddio) | (self.tick << TICK_SHIFT);
         evicted
@@ -317,6 +348,7 @@ impl Llc {
     pub(crate) fn invalidate_at(&mut self, set: usize, line: u64) -> Option<LineState> {
         let slot = self.slot_of(set, line)?;
         let state = Self::state_of(self.meta[slot]);
+        self.home_lines[Self::home_of(line)] -= 1;
         // Swap-remove within the set to keep the resident prefix dense.
         let last = set * self.cfg.ways + self.lens[set] as usize - 1;
         self.tags[slot] = self.tags[last];
@@ -388,21 +420,26 @@ impl Llc {
     /// use this to construct cold-cache scenarios. Set storage is retained.
     pub fn flush_all(&mut self) {
         self.lens.fill(0);
+        self.home_lines.fill(0);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::NODE_SHIFT;
     use simcore::SimRng;
 
     fn tiny() -> Llc {
         // 4 sets x 4 ways x 64 B = 1 KiB, 2 DDIO ways.
-        Llc::new(LlcConfig {
-            capacity_bytes: 1024,
-            ways: 4,
-            ddio_ways: 2,
-        })
+        Llc::new(
+            LlcConfig {
+                capacity_bytes: 1024,
+                ways: 4,
+                ddio_ways: 2,
+            },
+            2,
+        )
     }
 
     fn addr_for_set(set: u64, tag_round: u64) -> PhysAddr {
@@ -522,17 +559,20 @@ mod tests {
     fn broadwell_geometry() {
         let cfg = LlcConfig::broadwell_14c();
         assert_eq!(cfg.sets(), 35 * 1024 * 1024 / 64 / 20);
-        let _ = Llc::new(cfg);
+        let _ = Llc::new(cfg, 2);
     }
 
     #[test]
     #[should_panic(expected = "DDIO ways cannot exceed")]
     fn bad_ddio_ways() {
-        Llc::new(LlcConfig {
-            capacity_bytes: 1024,
-            ways: 2,
-            ddio_ways: 3,
-        });
+        Llc::new(
+            LlcConfig {
+                capacity_bytes: 1024,
+                ways: 2,
+                ddio_ways: 3,
+            },
+            2,
+        );
     }
 
     #[test]
@@ -558,12 +598,59 @@ mod tests {
     }
 
     #[test]
+    fn prop_home_counts_match_resident_tags() {
+        // Eight lines per set of `tiny` from each of two homes, so fills
+        // evict lines of either home.
+        let home1 = PhysAddr(1 << NODE_SHIFT).line();
+        let mut r = SimRng::seed(0x5e00f);
+        for _ in 0..32 {
+            let mut c = tiny();
+            for _ in 0..300 {
+                let line = r.below(32) + if r.chance(0.5) { home1 } else { 0 };
+                let a = PhysAddr(line * LINE_BYTES);
+                let state = if r.chance(0.5) {
+                    LineState::Modified
+                } else {
+                    LineState::Shared
+                };
+                match r.below(10) {
+                    0..=3 => {
+                        c.insert(a, state, r.chance(0.5));
+                    }
+                    4..=6 => {
+                        let set = c.set_of(line);
+                        if let Err(slot) = c.probe_at(set, line) {
+                            c.fill(set, slot, line, state, false);
+                        }
+                    }
+                    7 => {
+                        c.invalidate(a);
+                    }
+                    8 => {
+                        c.downgrade(a);
+                    }
+                    _ if r.below(5) == 0 => c.flush_all(),
+                    _ => {}
+                }
+                let mut recount = [0u32; 2];
+                for set in 0..c.n_sets {
+                    let start = set * c.cfg.ways;
+                    for &tag in &c.tags[start..start + c.lens[set] as usize] {
+                        recount[Llc::home_of(tag)] += 1;
+                    }
+                }
+                assert_eq!(*c.home_lines, recount);
+            }
+        }
+    }
+
+    #[test]
     fn prop_probe_after_insert_hits() {
         let mut r = SimRng::seed(0xcac4f);
         for _ in 0..8 {
             let n = 1 + r.below(49) as usize;
             let lines: Vec<u64> = (0..n).map(|_| r.below(1_000_000)).collect();
-            let mut c = Llc::new(LlcConfig::broadwell_14c());
+            let mut c = Llc::new(LlcConfig::broadwell_14c(), 1);
             for &l in &lines {
                 c.insert(PhysAddr(l * LINE_BYTES), LineState::Shared, false);
             }

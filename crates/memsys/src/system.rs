@@ -210,7 +210,7 @@ impl MemSystem {
     /// Builds the memory system described by `cfg`.
     pub fn new(cfg: MemConfig) -> Self {
         let nodes = cfg.topology.nodes();
-        let llcs = (0..nodes).map(|_| Llc::new(cfg.llc)).collect();
+        let llcs = (0..nodes).map(|_| Llc::new(cfg.llc, nodes)).collect();
         let dram = (0..nodes).map(|n| DramGroup::new(n, cfg.dram)).collect();
         let qpi = Interconnect::new(nodes, cfg.interconnect);
         let alloc = PhysAllocator::new(nodes, cfg.bytes_per_node);
@@ -318,21 +318,21 @@ impl MemSystem {
                         // Upgrade to Modified; peers drop their Shared copies.
                         self.llcs[node.0].upgrade_cpu(slot);
                         for peer in 0..self.llcs.len() {
-                            if peer != node.0 {
+                            if peer != node.0 && self.llcs[peer].holds_home(home) {
                                 self.llcs[peer].invalidate_at(set, line);
                             }
                         }
                     }
                 }
                 Err(slot) => {
-                    // Snoop each peer once: a write drops its copy, a read
-                    // downgrades it. A dirty copy is a cache-to-cache
-                    // transfer with an implicit writeback to home; it is
-                    // the only copy (single-writer invariant), so the
-                    // snoop stops there.
+                    // Snoop each peer that holds lines of `home` once: a
+                    // write drops its copy, a read downgrades it. A dirty
+                    // copy is a cache-to-cache transfer with an implicit
+                    // writeback to home; it is the only copy (single-writer
+                    // invariant), so the snoop stops there.
                     let mut served_c2c = false;
                     for peer in 0..self.llcs.len() {
-                        if peer == node.0 {
+                        if peer == node.0 || !self.llcs[peer].holds_home(home) {
                             continue;
                         }
                         let prior = if write {
@@ -595,14 +595,10 @@ impl MemSystem {
         let bytes = lines * LINE_BYTES;
 
         if local && self.cfg.ddio {
+            // Peers first: the passes touch only peers and the fill only the
+            // home LLC, so the order changes no state.
+            self.invalidate_copies(addr.line(), lines, home, Some(home));
             for (line, set) in self.llcs[home.0].walk(addr.line(), lines) {
-                // Peers lose their copies (full overwrite: dirty data is
-                // simply superseded).
-                for peer in 0..self.llcs.len() {
-                    if peer != home.0 {
-                        self.llcs[peer].invalidate_at(set, line);
-                    }
-                }
                 if let Evicted::Dirty(victim) =
                     self.llcs[home.0].insert_at(set, line, LineState::Modified, true)
                 {
@@ -622,11 +618,7 @@ impl MemSystem {
             self.memo.put(key, Dur::ZERO, Dur::ZERO, exposed);
             exposed
         } else {
-            for (line, set) in self.llcs[home.0].walk(addr.line(), lines) {
-                for llc in &mut self.llcs {
-                    llc.invalidate_at(set, line);
-                }
-            }
+            self.invalidate_copies(addr.line(), lines, home, None);
             let idle = self.dram[home.0].write_queue_delay(now) == Dur::ZERO
                 && (local || self.qpi.queue_delay(now, dev_node, home) == Dur::ZERO);
             let key = StallMemo::key(MEMO_DMA_WRITE_DRAM, dev_node.0, home.0, lines);
@@ -738,6 +730,21 @@ impl MemSystem {
             llc.flush_all();
         }
         self.memo.invalidate();
+    }
+
+    /// Drops every copy of the `lines` lines from `first`, all of home
+    /// `home`, from each LLC but `keep`'s (a device write overwrites whole
+    /// lines, so dirty data is simply superseded). One pass per LLC that
+    /// holds a line of `home`; the others hold none of these lines and are
+    /// skipped.
+    fn invalidate_copies(&mut self, first: u64, lines: u64, home: NodeId, keep: Option<NodeId>) {
+        for (node, llc) in self.llcs.iter_mut().enumerate() {
+            if Some(NodeId(node)) != keep && llc.holds_home(home) {
+                for (line, set) in llc.walk(first, lines) {
+                    llc.invalidate_at(set, line);
+                }
+            }
+        }
     }
 
     /// Charges the accumulated writebacks to DRAM (and the interconnect for
@@ -861,6 +868,42 @@ mod tests {
         // Next CPU read must go to DRAM.
         m.cpu_read(Time::ZERO, N0, buf, 64, AccessKind::Pointer);
         assert!(m.counters().dram_read_bytes(N0) >= 64);
+    }
+
+    #[test]
+    fn local_ddio_write_invalidates_remote_reader_copy() {
+        let mut m = mem();
+        let buf = m.alloc(N0, 4096);
+        m.cpu_read(Time::ZERO, N1, buf, 64, AccessKind::Pointer);
+        assert_eq!(m.peek_line(N1, buf), Some(LineState::Shared));
+        m.dma_write(Time::ZERO, N0, buf, 64);
+        assert_eq!(m.peek_line(N1, buf), None, "node 1's copy must go");
+        assert_eq!(m.peek_line(N0, buf), Some(LineState::Modified));
+    }
+
+    #[test]
+    fn cpu_write_hit_invalidates_peer_copy() {
+        let mut m = mem();
+        let buf = m.alloc(N0, 4096);
+        m.cpu_read(Time::ZERO, N0, buf, 64, AccessKind::Pointer);
+        m.cpu_read(Time::ZERO, N1, buf, 64, AccessKind::Pointer);
+        assert_eq!(m.peek_line(N1, buf), Some(LineState::Shared));
+        m.cpu_write(Time::ZERO, N0, buf, 64, AccessKind::Pointer);
+        assert_eq!(m.peek_line(N1, buf), None, "node 1's copy must go");
+        assert_eq!(m.peek_line(N0, buf), Some(LineState::Modified));
+    }
+
+    #[test]
+    fn remote_home_dma_write_invalidates_device_socket_copies() {
+        // Device and caching CPU on node 0, buffer on node 1: a non-DDIO
+        // write to node 1's DRAM, whose copies sit in the non-home LLC.
+        let mut m = mem();
+        let buf = m.alloc(N1, 4096);
+        m.cpu_read(Time::ZERO, N0, buf, 4096, AccessKind::Stream);
+        m.dma_write(Time::ZERO, N0, buf, 4096);
+        for off in (0..4096).step_by(LINE_BYTES as usize) {
+            assert_eq!(m.peek_line(N0, buf.offset(off)), None, "line at +{off}");
+        }
     }
 
     #[test]

@@ -43,6 +43,8 @@ const HOT_FNS: [(&str, &[&str]); 7] = [
         "crates/memsys/src/cache.rs",
         &[
             "walk",
+            "holds_home",
+            "home_of",
             "slot_of",
             "touch",
             "victim",
@@ -58,7 +60,13 @@ const HOT_FNS: [(&str, &[&str]); 7] = [
     ),
     (
         "crates/memsys/src/system.rs",
-        &["cpu_access", "dma_read", "dma_write", "flush_writebacks"],
+        &[
+            "cpu_access",
+            "dma_read",
+            "dma_write",
+            "invalidate_copies",
+            "flush_writebacks",
+        ],
     ),
     (
         "crates/simcore/src/outbuf.rs",

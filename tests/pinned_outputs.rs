@@ -8,7 +8,7 @@
 //! EXPERIMENTS.md.
 
 use ioctopus::config::Placement;
-use ioctopus::experiments::{memcached, tcp_stream};
+use ioctopus::experiments::{memcached, nvme_fio, tcp_stream};
 use ioctopus::results::ThroughputResult;
 
 /// `(throughput_gbps, membw_gbps)` as raw bits.
@@ -59,4 +59,32 @@ fn tcp_rx_64k_outputs_are_pinned() {
         &tcp_stream::run_rx(Placement::Remote, 65536, 6),
         (0x402e32f0ee144531, 0x40404b53bb68f73b),
     );
+}
+
+/// Figure 15 under 5 STREAMs, 8 ms. The legacy point DMA-writes node-1
+/// buffers through a node-0 port: remote, non-DDIO writes that must first
+/// invalidate every cached copy. OctoSSD DDIO-writes them into the node-1
+/// LLC, whose peer must lose any copy it holds.
+#[test]
+fn nvme_fio_outputs_are_pinned() {
+    let points = [
+        ("legacy", false, (0x4201c81555555555, 0x42286a0000000000)),
+        ("octo", true, (0x4205e42aaaaaaaab, 0x422ccf0000000000)),
+    ];
+    for (what, octo, want) in points {
+        let r = nvme_fio::run_raw(5, octo, 8);
+        let got = (
+            r.fio_bytes_per_sec.to_bits(),
+            r.stream_bytes_per_sec.to_bits(),
+        );
+        assert_eq!(
+            got,
+            want,
+            "nvme {what}: got ({}, {}) B/s, want ({}, {})",
+            r.fio_bytes_per_sec,
+            r.stream_bytes_per_sec,
+            f64::from_bits(want.0),
+            f64::from_bits(want.1)
+        );
+    }
 }
