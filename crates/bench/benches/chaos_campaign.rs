@@ -109,7 +109,6 @@ fn write_min_plan(kind: &str, seed: u64, index: u64, plan: &FaultPlan, violation
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn write_json(
     smoke: bool,
     sum: &chaos::CampaignReport,

@@ -193,13 +193,22 @@ fn json_number(doc: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Perf-regression gate: compares this run's aggregate event rate against
-/// a previously committed baseline JSON. Exits nonzero on a >20%
-/// regression. Events/sec is the figure of merit (wall-clock depends on
-/// sweep sizing), but smoke and full rates are *not* comparable — smoke
-/// points are setup-dominated — so the gate only fires when the baseline
-/// was recorded in the same mode (CI compares smoke against the committed
-/// `BENCH_2_SMOKE.json`).
+/// The `events` count a baseline document records for figure `name`.
+fn baseline_events(doc: &str, name: &str) -> Option<u64> {
+    let start = doc.find(&format!("\"name\": \"{}\"", json_escape(name)))?;
+    let figure = &doc[start..start + doc[start..].find('}')?];
+    json_number(figure, "events").map(|e| e as u64)
+}
+
+/// Regression gate against a previously committed baseline JSON, in two
+/// steps. First, exact work counts: every figure this run reports must
+/// appear in the baseline with the same `events`, since the simulation is
+/// deterministic and any difference is a behavior change. Second, the loose
+/// wall-clock gate: the aggregate event rate must not fall more than 20%
+/// below the baseline's. Smoke and full runs differ in both counts and
+/// rates — smoke points are setup-dominated — so the gate only fires when
+/// the baseline was recorded in the same mode (CI compares smoke against the
+/// committed `BENCH_2_SMOKE.json`).
 fn check_against_baseline(rows: &[Row], smoke: bool, path: &str) {
     let doc = match std::fs::read_to_string(path) {
         Ok(d) => d,
@@ -214,14 +223,29 @@ fn check_against_baseline(rows: &[Row], smoke: bool, path: &str) {
     if base_smoke != smoke {
         println!(
             "[baseline] {path} was recorded with smoke={base_smoke}, this run is \
-             smoke={smoke}; rates are not comparable, skipping gate"
+             smoke={smoke}; counts and rates are not comparable, skipping gate"
         );
         return;
     }
+    let mut mismatches = Vec::new();
+    for r in rows {
+        match baseline_events(&doc, r.name) {
+            Some(e) if e == r.events => {}
+            Some(e) => mismatches.push(format!("{}: {} events, baseline {e}", r.name, r.events)),
+            None => mismatches.push(format!("{}: missing from the baseline", r.name)),
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "work-count change against {path}:\n  {}",
+        mismatches.join("\n  ")
+    );
+    println!("[baseline] events match the committed count on every figure");
+
     let base_events = json_number(&doc, "total_events");
     let base_secs = json_number(&doc, "total_parallel_s");
     let (Some(base_events), Some(base_secs)) = (base_events, base_secs) else {
-        println!("[baseline] {path} lacks total_events/total_parallel_s; skipping gate");
+        println!("[baseline] {path} lacks total_events/total_parallel_s; skipping rate gate");
         return;
     };
     let base_rate = base_events / base_secs.max(1e-9);

@@ -637,7 +637,6 @@ impl NetLoop {
                             duplex.server.nic.tx_bytes(pf),
                         )
                     })
-                    // simlint: allow(hot-path-alloc) — opt-in sampling diagnostic (sample_every); never on the steady-state dispatch path the zero-alloc gate covers
                     .collect();
                 self.samples.push((now, snap));
                 if let Some(every) = self.sample_every {
@@ -1171,7 +1170,10 @@ pub fn make_tx_stream(
 }
 
 /// Builds an [`Rr`] app over fresh sockets/threads.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is one knob of the RR pair the figure runners vary"
+)]
 pub fn make_rr(
     duplex: &mut Duplex,
     server_core: usize,
@@ -1212,7 +1214,10 @@ pub fn make_rr(
 
 /// Builds a [`Kv`] connection with `keys` values stored on the server
 /// worker's node.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is one knob of the KV pair the figure runners vary"
+)]
 pub fn make_kv(
     duplex: &mut Duplex,
     server_core: usize,

@@ -1090,7 +1090,10 @@ impl Host {
     ///
     /// Returns the time the core finished the round; wire-packet events
     /// are appended to `out`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one pktgen burst's parameters, passed through from the runner's loop"
+    )]
     pub fn pktgen_round(
         &mut self,
         now: Time,

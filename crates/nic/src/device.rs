@@ -306,7 +306,10 @@ impl Nic {
     /// `local` means the PF's I/O controller and the address's home node
     /// coincide; DDIO applies to payload writes only.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "per-DMA bookkeeping from the callers' locals; a struct would be built per DMA only to be unpacked"
+    )]
     fn note_dma(
         &mut self,
         now: Time,
@@ -854,7 +857,10 @@ impl Nic {
     ///
     /// Steering: MPFS picks the PF (by MAC or by IOctoRFS flow rule), the
     /// PF's ARFS table picks the queue, RSS hashes as a fallback.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the packet's fields plus the two substrates it touches; a struct would be built per packet"
+    )]
     pub fn on_wire_packet(
         &mut self,
         now: Time,

@@ -91,30 +91,18 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed with the deterministic Fx hasher.
+#[expect(
+    clippy::disallowed_types,
+    reason = "declares the seed-free alias the other crates use in its place"
+)]
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` keyed with the deterministic Fx hasher.
+#[expect(
+    clippy::disallowed_types,
+    reason = "declares the seed-free alias the other crates use in its place"
+)]
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
-
-/// A map's entries sorted by key — the sanctioned way to iterate a hash map
-/// from code that schedules events (simlint rule `unordered-iteration`).
-///
-/// Even with a seed-free hasher, hash-map iteration order depends on
-/// insertion history and capacity growth; any event scheduled from inside
-/// such a loop inherits that order as a tiebreak. Sorting by key first makes
-/// the visit order a pure function of the map's *contents*.
-pub fn sorted_entries<K: Ord, V, S>(map: &std::collections::HashMap<K, V, S>) -> Vec<(&K, &V)> {
-    let mut entries: Vec<_> = map.iter().collect();
-    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    entries
-}
-
-/// A set's (or map's key) view sorted ascending — see [`sorted_entries`].
-pub fn sorted_keys<K: Ord, S>(set: &std::collections::HashSet<K, S>) -> Vec<&K> {
-    let mut keys: Vec<_> = set.iter().collect();
-    keys.sort_unstable();
-    keys
-}
 
 #[cfg(test)]
 mod tests {
@@ -154,31 +142,6 @@ mod tests {
         h.write_usize(5);
         h.write(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]);
         assert_ne!(h.finish(), 0);
-    }
-
-    #[test]
-    fn sorted_iteration_is_content_deterministic() {
-        // Two maps with identical contents but different insertion histories
-        // (and hence potentially different raw iteration orders) yield the
-        // same sorted view.
-        let mut a: FxHashMap<u64, u64> = FxHashMap::default();
-        let mut b: FxHashMap<u64, u64> = FxHashMap::default();
-        for i in 0..64u64 {
-            a.insert(i, i * 10);
-        }
-        for i in (0..64u64).rev() {
-            b.insert(i, i * 10);
-            b.remove(&i);
-            b.insert(i, i * 10);
-        }
-        assert_eq!(sorted_entries(&a), sorted_entries(&b));
-        assert_eq!(
-            sorted_entries(&a).first().map(|&(k, v)| (*k, *v)),
-            Some((0, 0))
-        );
-
-        let s: FxHashSet<u32> = [5u32, 1, 9, 3].into_iter().collect();
-        assert_eq!(sorted_keys(&s), vec![&1, &3, &5, &9]);
     }
 
     #[test]

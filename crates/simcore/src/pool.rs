@@ -4,13 +4,14 @@
 //! Every figure of the evaluation is a sweep over independent points
 //! (message sizes × placements × flow counts), and each point is a fully
 //! deterministic, self-contained simulation: it shares no mutable state
-//! with any other point. That makes fan-out trivially safe — workers claim
-//! points from an atomic counter, run them, and write results into
-//! per-point slots, so the returned `Vec` is always in **input order**
-//! regardless of which worker finished first or how the OS scheduled them.
+//! with any other point. That makes fan-out trivially safe — workers take
+//! the next `(index, point)` pair from one shared iterator, run it, and
+//! hand their `(index, result)` pairs back through their join handles, so
+//! the returned `Vec` is always in **input order** regardless of which
+//! worker finished first or how the OS scheduled them.
 //!
 //! The workspace is std-only by design; this is `std::thread::scope` plus
-//! an atomic work index — no channels, no dependency.
+//! a `Mutex`-guarded iterator — no channels, no atomics, no dependency.
 //!
 //! # Example
 //! ```
@@ -20,7 +21,6 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Environment variable overriding the worker count (useful for pinning
@@ -30,13 +30,16 @@ pub const THREADS_ENV: &str = "IOCTOPUS_THREADS";
 /// Number of workers a sweep of `jobs` independent points should use:
 /// `IOCTOPUS_THREADS` if set, otherwise the machine's available
 /// parallelism, never more than `jobs` and never less than 1.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the operator override and host parallelism pick the worker count, never the \
+              results; serial-vs-parallel bit-identity is gated by tests/parallel_sweep.rs"
+)]
 pub fn worker_count(jobs: usize) -> usize {
-    // simlint: allow(wallclock) — explicit operator override; worker count affects wall time only, results stay input-order deterministic (tests/parallel_sweep.rs)
     let configured = std::env::var(THREADS_ENV)
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok())
         .filter(|&n| n > 0);
-    // simlint: allow(wallclock) — host parallelism picks the worker count, never the results; serial-vs-parallel bit-identity is gated dynamically
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -48,11 +51,12 @@ pub fn worker_count(jobs: usize) -> usize {
 ///
 /// Falls back to a plain serial map when only one worker is warranted, so
 /// `IOCTOPUS_THREADS=1 <bench>` is *exactly* the serial run. Workers pull
-/// the next unclaimed index from a shared atomic, so long and short points
+/// the next unclaimed point from a shared iterator, so long and short points
 /// load-balance naturally.
 ///
 /// # Panics
-/// Propagates a panic from any worker (the scope joins all threads first).
+/// Re-raises a worker's panic, with its original payload, after every
+/// worker has finished.
 pub fn scoped_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -65,46 +69,34 @@ where
         return items.into_iter().map(f).collect();
     }
 
-    // One slot per point: the input moves out through the Mutex, the result
-    // moves back in. Slot `i` only ever belongs to the worker that claimed
-    // index `i`, so there is no contention beyond the claim counter itself.
-    let slots: Vec<Mutex<(Option<T>, Option<R>)>> = items
-        .into_iter()
-        .map(|t| Mutex::new((Some(t), None)))
-        .collect();
-    let next = AtomicUsize::new(0);
-    let f = &f;
-    let next_ref = &next;
-    let slots_ref = &slots;
-
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let (queue, f) = (&queue, &f);
+    let mut done: Vec<(usize, R)> = Vec::with_capacity(n);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(move || loop {
-                let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots_ref[i]
-                    .lock()
-                    .expect("slot poisoned")
-                    .0
-                    .take()
-                    .expect("index claimed once");
-                let result = f(item);
-                slots_ref[i].lock().expect("slot poisoned").1 = Some(result);
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut mine = Vec::new();
+                    loop {
+                        // A statement of its own, so the guard is released
+                        // before `f` runs.
+                        let next = queue.lock().expect("queue lock never poisoned").next();
+                        let Some((i, item)) = next else { break };
+                        mine.push((i, f(item)));
+                    }
+                    mine
+                })
+            })
+            .collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(mine) => done.extend(mine),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
     });
-
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("workers joined")
-                .1
-                .expect("every index was processed")
-        })
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -112,11 +104,14 @@ mod tests {
     use super::*;
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test delays early items to prove the join restores input order"
+    )]
     fn results_in_input_order() {
         // Make later items finish first by sleeping on the early ones.
         let out = scoped_map((0..32u64).collect(), |i| {
             if i < 4 {
-                // simlint: allow(wallclock) — test intentionally delays early items to prove the join restores input order
                 std::thread::sleep(std::time::Duration::from_millis(10 - 2 * i));
             }
             i * 100
@@ -143,5 +138,14 @@ mod tests {
         let serial: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(0x9e37)).collect();
         let parallel = scoped_map(items, |x| x.wrapping_mul(0x9e37));
         assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    #[should_panic(expected = "point 5 failed")]
+    fn worker_panic_propagates() {
+        scoped_map((0..16u32).collect(), |i| {
+            assert!(i != 5, "point {i} failed");
+            i
+        });
     }
 }

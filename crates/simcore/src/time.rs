@@ -17,13 +17,12 @@ pub const PS_PER_MS: u64 = 1_000_000_000;
 /// Picoseconds per second.
 pub const PS_PER_SEC: u64 = 1_000_000_000_000;
 
-/// The single sanctioned picosecond→float boundary, used by the `as_*`
+/// The single picosecond→float boundary, used by the `as_*`
 /// display/statistics conversions and fractional scaling. `f64` is exact
 /// below 2⁵³ ps (~2.5 simulated hours); experiment horizons are tens of
 /// milliseconds, far inside that. All event-ordering arithmetic stays in
 /// integer ps and never passes through here.
 fn ps_to_f64(ps: u64) -> f64 {
-    // simlint: allow(lossy-time-cast) — sole sanctioned ps→f64 boundary; exact below 2^53 ps, horizons are ms
     ps as f64
 }
 

@@ -110,7 +110,10 @@ impl PageRank {
         let mut done = false;
         while !done {
             done = true;
-            #[allow(clippy::needless_range_loop)] // `i` names the worker for step()
+            #[expect(
+                clippy::needless_range_loop,
+                reason = "`i` names the worker for step()"
+            )]
             for i in 0..n {
                 if let Some(t) = self.step(i, clocks[i], mem, cores) {
                     clocks[i] = t;
