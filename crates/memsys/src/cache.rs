@@ -1,9 +1,9 @@
 //! A per-socket last-level cache with a DDIO way partition.
 //!
 //! The model is set-associative with dense, directly indexed sets (a flat
-//! zero-initialized slab of way slots, `ways` consecutive slots per set, so
-//! first-touching a set never allocates), in MESI-lite: a line is either
-//! `Shared` (clean, possibly in several LLCs) or
+//! zero-initialized slab of 8-byte way slots, `ways` consecutive slots per
+//! set, so first-touching a set never allocates), in MESI-lite: a line is
+//! either `Shared` (clean, possibly in several LLCs) or
 //! `Modified` (dirty, in exactly one LLC — the [`system`](crate::system)
 //! façade enforces that invariant by invalidating other caches).
 //!
@@ -18,7 +18,7 @@
 //! sockets' copies of a line skips every cache that holds no line of that
 //! line's home.
 
-use crate::topology::{NodeId, PhysAddr, LINE_BYTES};
+use crate::topology::{NodeId, PhysAddr, LINE_BYTES, NODE_SHIFT};
 
 /// Coherence state of a cached line (MESI-lite).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,11 +31,19 @@ pub enum LineState {
 
 /// Per-slot metadata bits (see [`Llc::meta`]). Validity is positional —
 /// a slot is resident iff it lies below its set's occupancy count — so the
-/// metadata only needs state flags and the recency tick.
-const DIRTY: u64 = 1;
-const DDIO: u64 = 1 << 1;
-/// Bits above the flags hold the slot's last-use tick.
-const TICK_SHIFT: u64 = 2;
+/// metadata only needs state flags and the recency stamp.
+const DIRTY: u32 = 1;
+const DDIO: u32 = 1 << 1;
+/// Bits above the flags hold the slot's 30-bit recency stamp.
+const STAMP_SHIFT: u32 = 2;
+/// The stamp counter restamps every set when it reaches this value.
+const STAMP_END: u32 = 1 << (u32::BITS - STAMP_SHIFT);
+
+/// Low tag bits: the line's set-ring quotient relative to its home's
+/// first line. The byte above them holds the home node.
+const REL_BITS: u32 = 24;
+/// A line number's home node is its bits from here up.
+const HOME_LINE_SHIFT: u32 = NODE_SHIFT - LINE_BYTES.trailing_zeros();
 
 /// LLC geometry and sizing.
 #[derive(Debug, Clone, Copy)]
@@ -66,34 +74,51 @@ impl LlcConfig {
 
 /// Result of inserting a line: what, if anything, was evicted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Evicted {
+pub enum Evicted<V = u64> {
     /// No eviction was necessary.
     None,
     /// A clean line was dropped.
     Clean,
-    /// A dirty line was evicted and must be written back to the home of the
-    /// returned line address (`line * 64` is its byte address).
-    Dirty(u64),
+    /// A dirty line was evicted and must be written back to its home. The
+    /// public calls name it by line (`line * 64` is its byte address); the
+    /// set-indexed calls inside the crate name it by its 32-bit tag, which
+    /// holds its home.
+    Dirty(V),
 }
 
 /// A single socket's last-level cache.
 ///
-/// Storage is a flat slab of way slots, `cfg.ways` consecutive slots per
-/// set, indexed by `line % n_sets`. The DMA and copy paths walk one set per
-/// 64-byte line, and the memcached working set fills every set (NVMe reads
-/// fill every set's DDIO ways), so the walk is built to scan each set once
-/// per line:
+/// Storage is a flat slab of 8-byte way slots, `cfg.ways` consecutive
+/// slots per set, indexed by `line % n_sets`. The DMA and copy paths walk
+/// one set per 64-byte line, and the memcached working set fills every set
+/// (NVMe reads fill every set's DDIO ways), so the walk is built to scan
+/// each set once per line, over as few bytes as possible:
 ///
-/// * Walks take their set indices from `Llc::walk`: one division for
-///   the first line of an access, then a wrap-around increment per line.
-///   Every LLC of a machine has the same geometry, so the index also
-///   serves the peer snoops.
+/// * Walks take `(tag, set)` pairs from `Llc::walk`: one division for the
+///   first line of an access, then a wrap-around increment per line that
+///   also moves the tag on when the set index wraps. Every LLC of a
+///   machine has the same geometry, so the pair also serves the peer
+///   snoops.
+/// * A slot holds a 32-bit tag and a 32-bit metadata word. The tag is
+///   `home << 24 | (line / n_sets − bases[home])`, where `bases[home]` is
+///   the quotient of the home's first line: within a set it names the line
+///   exactly, and its top byte is the line's home. A walk asserts once that
+///   its last line's relative quotient fits in 24 bits, which holds for
+///   any address of a 1 TiB node window at the Broadwell and Skylake
+///   geometries.
+/// * The metadata word is `DIRTY | DDIO | stamp << 2`. Stamps are only
+///   compared within a set, so when the 30-bit counter runs out a cold
+///   restamp rewrites each set's stamps as their ranks and restarts the
+///   counter above every rank, and every later LRU decision is the one an
+///   unbounded counter would make.
 /// * Each operation searches the resident tags first and looks for an LRU
 ///   victim only on a miss that fills — and for the DDIO partition's
 ///   victim only on a DDIO fill. A CPU probe that misses returns its fill
-///   slot, so the fill that follows does not scan again.
+///   slot, so the fill that follows does not scan again. A CPU probe first
+///   tries the way offset of the previous CPU hit (`hint`): consecutive
+///   lines of a walk sit at the same offset of consecutive sets.
 /// * The slab is zero-initialized primitive arrays: `vec![0; n]` takes the
-///   zeroed-page allocation path, so construction costs four allocator
+///   zeroed-page allocation path, so construction costs five allocator
 ///   calls regardless of geometry, and no slot is ever allocated lazily
 ///   during simulation. The arrays never change length, so they are held
 ///   as boxed slices.
@@ -108,17 +133,22 @@ pub enum Evicted {
 #[derive(Debug, Clone)]
 pub struct Llc {
     cfg: LlcConfig,
-    /// Line tag of each way slot; meaningful for the first `lens[set]`
-    /// slots of each set's range.
-    tags: Box<[u64]>,
-    /// Packed slot state: `DIRTY | DDIO | last_use << TICK_SHIFT`.
-    meta: Box<[u64]>,
+    /// Tag of each way slot; meaningful for the first `lens[set]` slots of
+    /// each set's range.
+    tags: Box<[u32]>,
+    /// Packed slot state: `DIRTY | DDIO | stamp << STAMP_SHIFT`.
+    meta: Box<[u32]>,
     /// Resident-line count per set (dense prefix length).
     lens: Box<[u8]>,
     /// Resident-line count per home node, indexed by `NodeId.0`.
     home_lines: Box<[u32]>,
+    /// Set-ring quotient of each home node's first line.
+    bases: Box<[u64]>,
     n_sets: usize,
-    tick: u64,
+    /// The last stamp handed out.
+    tick: u32,
+    /// Way offset, within its set, of the last CPU probe hit.
+    hint: usize,
     hits: u64,
     misses: u64,
 }
@@ -129,12 +159,17 @@ impl Llc {
     ///
     /// # Panics
     /// Panics if the geometry is degenerate (zero ways, DDIO ways exceeding
-    /// total ways, or zero sets).
+    /// total ways, or zero sets), or if `nodes` exceeds the tags' 8-bit
+    /// home.
     pub fn new(cfg: LlcConfig, nodes: usize) -> Self {
         assert!(cfg.ways > 0, "cache must have at least one way");
         assert!(cfg.ways <= u8::MAX as usize, "occupancy counts are u8");
         assert!(cfg.ddio_ways <= cfg.ways, "DDIO ways cannot exceed total");
         assert!(cfg.sets() > 0, "cache must have at least one set");
+        assert!(
+            nodes <= 1 << (u32::BITS - REL_BITS),
+            "tags hold an 8-bit home"
+        );
         let n_sets = cfg.sets() as usize;
         let slots = n_sets * cfg.ways;
         assert!(slots <= u32::MAX as usize, "residency counts are u32");
@@ -144,8 +179,12 @@ impl Llc {
             meta: vec![0; slots].into_boxed_slice(),
             lens: vec![0; n_sets].into_boxed_slice(),
             home_lines: vec![0; nodes].into_boxed_slice(),
+            bases: (0..nodes as u64)
+                .map(|home| (home << HOME_LINE_SHIFT) / n_sets as u64)
+                .collect(),
             n_sets,
             tick: 0,
+            hint: 0,
             hits: 0,
             misses: 0,
         }
@@ -156,23 +195,60 @@ impl Llc {
         self.cfg
     }
 
-    /// `(line, set index)` for the `lines` consecutive lines from `first`:
-    /// one division for the first set, then a step with wrap-around.
-    pub(crate) fn walk(&self, first: u64, lines: u64) -> impl Iterator<Item = (u64, usize)> {
+    /// `(tag, set)` for the `lines` consecutive lines from `first`, all of
+    /// one home: one division for the first line, then a step that wraps
+    /// the set index and moves the tag to the next quotient as it does.
+    ///
+    /// # Panics
+    /// Panics if the last line's quotient, relative to its home's first
+    /// line, does not fit in the tag's 24 bits.
+    pub(crate) fn walk(&self, first: u64, lines: u64) -> impl Iterator<Item = (u32, usize)> {
         let n_sets = self.n_sets;
-        let mut set = self.set_of(first);
-        (first..first + lines).map(move |line| {
-            let at = set;
+        let (mut tag, mut set) = self.locate(first);
+        let end = (self.bases[Self::home_of(tag)] + (1 << REL_BITS)) * n_sets as u64;
+        assert!(
+            first + lines <= end,
+            "walk of {lines} lines from line {first:#x} leaves the LLC's tag range"
+        );
+        (0..lines).map(move |_| {
+            let at = (tag, set);
             set += 1;
             if set == n_sets {
                 set = 0;
+                tag += 1;
             }
-            (line, at)
+            at
         })
     }
 
-    fn set_of(&self, line: u64) -> usize {
-        (line % self.n_sets as u64) as usize
+    /// `(tag, set)` of one line, by division.
+    ///
+    /// # Panics
+    /// Panics if the line lies 2²⁴ × `n_sets` lines or more past its home's
+    /// first line.
+    fn locate(&self, line: u64) -> (u32, usize) {
+        let home = line >> HOME_LINE_SHIFT;
+        let n_sets = self.n_sets as u64;
+        let rel = line / n_sets - self.bases[home as usize];
+        assert!(
+            rel < 1 << REL_BITS,
+            "line {line:#x} is out of the LLC's tag range"
+        );
+        (
+            (home as u32) << REL_BITS | rel as u32,
+            (line % n_sets) as usize,
+        )
+    }
+
+    /// The line that `tag` names in `set`.
+    fn line_of(&self, tag: u32, set: usize) -> u64 {
+        let rel = u64::from(tag & ((1 << REL_BITS) - 1));
+        (self.bases[Self::home_of(tag)] + rel) * self.n_sets as u64 + set as u64
+    }
+
+    /// Index into `home_lines` of the home of the line tagged `tag`.
+    pub(crate) fn home_of(tag: u32) -> usize {
+        (tag >> REL_BITS) as usize
     }
 
     /// Whether any resident line has home `home`. A cache for which this
@@ -182,19 +258,14 @@ impl Llc {
         self.home_lines[home.0] != 0
     }
 
-    /// Index into `home_lines` of the home of line tag `line`.
-    fn home_of(line: u64) -> usize {
-        PhysAddr(line * LINE_BYTES).home().0
-    }
-
-    /// Slot of `line` if it is resident in `set`.
-    fn slot_of(&self, set: usize, line: u64) -> Option<usize> {
+    /// Slot of the line tagged `tag` if it is resident in `set`.
+    fn slot_of(&self, set: usize, tag: u32) -> Option<usize> {
         let start = set * self.cfg.ways;
         let resident = &self.tags[start..start + self.lens[set] as usize];
-        resident.iter().position(|&t| t == line).map(|i| start + i)
+        resident.iter().position(|&t| t == tag).map(|i| start + i)
     }
 
-    fn state_of(meta: u64) -> LineState {
+    fn state_of(meta: u32) -> LineState {
         if meta & DIRTY != 0 {
             LineState::Modified
         } else {
@@ -202,7 +273,7 @@ impl Llc {
         }
     }
 
-    fn flags(state: LineState, ddio: bool) -> u64 {
+    fn flags(state: LineState, ddio: bool) -> u32 {
         let dirty = if state == LineState::Modified {
             DIRTY
         } else {
@@ -211,17 +282,49 @@ impl Llc {
         dirty | if ddio { DDIO } else { 0 }
     }
 
-    /// Restamps resident `slot` with `flags` at a fresh tick. A dirty bit
-    /// sticks: a Modified line never silently becomes Shared.
-    fn touch(&mut self, slot: usize, flags: u64) {
+    /// A fresh recency stamp, shifted into place: above every stamp
+    /// resident in any set.
+    fn next_stamp(&mut self) -> u32 {
         self.tick += 1;
-        self.meta[slot] = flags | (self.meta[slot] & DIRTY) | (self.tick << TICK_SHIFT);
+        if self.tick == STAMP_END {
+            self.restamp();
+        }
+        self.tick << STAMP_SHIFT
+    }
+
+    /// Rewrites each set's stamps as their ranks in the set's recency
+    /// order (0 for its LRU line) and restarts the counter above every
+    /// rank. Stamps are only compared within a set, so every later victim
+    /// is the one an unbounded counter would pick. Stamps are unique within
+    /// a set, so comparing whole metadata words ranks them.
+    #[cold]
+    fn restamp(&mut self) {
+        let mut ranks = [0u32; u8::MAX as usize];
+        for set in 0..self.n_sets {
+            let start = set * self.cfg.ways;
+            let slots = start..start + self.lens[set] as usize;
+            let metas = &self.meta[slots.clone()];
+            for (rank, &m) in ranks.iter_mut().zip(metas) {
+                *rank = metas.iter().filter(|&&other| other < m).count() as u32;
+            }
+            for (m, &rank) in self.meta[slots].iter_mut().zip(&ranks) {
+                *m = *m & (DIRTY | DDIO) | rank << STAMP_SHIFT;
+            }
+        }
+        self.tick = self.cfg.ways as u32;
+    }
+
+    /// Restamps resident `slot` with `flags` at a fresh stamp. A dirty bit
+    /// sticks: a Modified line never silently becomes Shared.
+    fn touch(&mut self, slot: usize, flags: u32) {
+        let stamp = self.next_stamp();
+        self.meta[slot] = flags | (self.meta[slot] & DIRTY) | stamp;
     }
 
     /// Where a non-DDIO fill of a missing line goes: the first free slot of
-    /// `set`, or its LRU line when the set is full. Last-use ticks are
-    /// unique — every touch consumes a fresh tick — so the smallest
-    /// metadata word is the LRU line's, whatever the slot order.
+    /// `set`, or its LRU line when the set is full. Stamps are unique
+    /// within a set, so the smallest metadata word is the LRU line's,
+    /// whatever the slot order.
     fn victim(&self, set: usize) -> usize {
         let start = set * self.cfg.ways;
         let len = self.lens[set] as usize;
@@ -259,18 +362,23 @@ impl Llc {
         }
     }
 
-    /// Puts `line` into `slot` of `set` at a fresh tick, evicting the
-    /// slot's line if it is resident. The slot comes from
+    /// Puts the line tagged `tag` into `slot` of `set` at a fresh stamp,
+    /// evicting the slot's line if it is resident. The slot comes from
     /// [`probe_at`](Self::probe_at) for a CPU miss.
+    ///
+    /// Inlined into the walks: as a call of its own, the cold restamp
+    /// path made every fill save and restore six registers, which shows
+    /// on DDIO walks that fill on every line.
+    #[inline(always)]
     pub(crate) fn fill(
         &mut self,
         set: usize,
         slot: usize,
-        line: u64,
+        tag: u32,
         state: LineState,
         ddio: bool,
-    ) -> Evicted {
-        self.tick += 1;
+    ) -> Evicted<u32> {
+        let stamp = self.next_stamp();
         let evicted = if slot < set * self.cfg.ways + self.lens[set] as usize {
             let old = self.tags[slot];
             self.home_lines[Self::home_of(old)] -= 1;
@@ -283,24 +391,33 @@ impl Llc {
             self.lens[set] += 1;
             Evicted::None
         };
-        self.home_lines[Self::home_of(line)] += 1;
-        self.tags[slot] = line;
-        self.meta[slot] = Self::flags(state, ddio) | (self.tick << TICK_SHIFT);
+        self.home_lines[Self::home_of(tag)] += 1;
+        self.tags[slot] = tag;
+        self.meta[slot] = Self::flags(state, ddio) | stamp;
         evicted
     }
 
-    /// CPU lookup of `line` in `set`, counted as a hit or a miss and
-    /// consuming one tick. `Ok(slot)` on a hit (recency updated); on a
-    /// miss, `Err(slot)` is where a non-DDIO [`fill`](Self::fill) puts it.
-    pub(crate) fn probe_at(&mut self, set: usize, line: u64) -> Result<usize, usize> {
-        match self.slot_of(set, line) {
+    /// CPU lookup of the line tagged `tag` in `set`, counted as a hit or a
+    /// miss. `Ok(slot)` on a hit (recency updated); on a miss, `Err(slot)`
+    /// is where a non-DDIO [`fill`](Self::fill) puts it. The way offset of
+    /// the previous hit is tried first: a resident slot there with this
+    /// tag is the one the scan would find, since tags are unique in a set.
+    pub(crate) fn probe_at(&mut self, set: usize, tag: u32) -> Result<usize, usize> {
+        let start = set * self.cfg.ways;
+        let hinted = start + self.hint;
+        let found = if self.hint < self.lens[set] as usize && self.tags[hinted] == tag {
+            Some(hinted)
+        } else {
+            self.slot_of(set, tag)
+        };
+        match found {
             Some(slot) => {
+                self.hint = slot - start;
                 self.hits += 1;
                 self.touch(slot, self.meta[slot] & DDIO);
                 Ok(slot)
             }
             None => {
-                self.tick += 1;
                 self.misses += 1;
                 Err(self.victim(set))
             }
@@ -313,16 +430,16 @@ impl Llc {
         self.touch(slot, DIRTY);
     }
 
-    /// Inserts (or upgrades) `line` in `set`, consuming one tick. `ddio`
-    /// confines a fill to the DDIO way partition.
+    /// Inserts (or upgrades) the line tagged `tag` in `set` at a fresh
+    /// stamp. `ddio` confines a fill to the DDIO way partition.
     pub(crate) fn insert_at(
         &mut self,
         set: usize,
-        line: u64,
+        tag: u32,
         state: LineState,
         ddio: bool,
-    ) -> Evicted {
-        match self.slot_of(set, line) {
+    ) -> Evicted<u32> {
+        match self.slot_of(set, tag) {
             Some(slot) => {
                 self.touch(slot, Self::flags(state, ddio));
                 Evicted::None
@@ -333,22 +450,23 @@ impl Llc {
                 } else {
                     self.victim(set)
                 };
-                self.fill(set, slot, line, state, ddio)
+                self.fill(set, slot, tag, state, ddio)
             }
         }
     }
 
-    /// State of `line` in `set`, without touching recency or statistics.
-    pub(crate) fn peek_at(&self, set: usize, line: u64) -> Option<LineState> {
-        self.slot_of(set, line)
+    /// State of the line tagged `tag` in `set`, without touching recency or
+    /// statistics.
+    pub(crate) fn peek_at(&self, set: usize, tag: u32) -> Option<LineState> {
+        self.slot_of(set, tag)
             .map(|slot| Self::state_of(self.meta[slot]))
     }
 
-    /// Removes `line` from `set`, returning the state it had.
-    pub(crate) fn invalidate_at(&mut self, set: usize, line: u64) -> Option<LineState> {
-        let slot = self.slot_of(set, line)?;
+    /// Removes the line tagged `tag` from `set`, returning the state it had.
+    pub(crate) fn invalidate_at(&mut self, set: usize, tag: u32) -> Option<LineState> {
+        let slot = self.slot_of(set, tag)?;
         let state = Self::state_of(self.meta[slot]);
-        self.home_lines[Self::home_of(line)] -= 1;
+        self.home_lines[Self::home_of(tag)] -= 1;
         // Swap-remove within the set to keep the resident prefix dense.
         let last = set * self.cfg.ways + self.lens[set] as usize - 1;
         self.tags[slot] = self.tags[last];
@@ -357,9 +475,10 @@ impl Llc {
         Some(state)
     }
 
-    /// Downgrades `line` in `set` to `Shared`, returning the state it had.
-    pub(crate) fn downgrade_at(&mut self, set: usize, line: u64) -> Option<LineState> {
-        let slot = self.slot_of(set, line)?;
+    /// Downgrades the line tagged `tag` in `set` to `Shared`, returning the
+    /// state it had.
+    pub(crate) fn downgrade_at(&mut self, set: usize, tag: u32) -> Option<LineState> {
+        let slot = self.slot_of(set, tag)?;
         let state = Self::state_of(self.meta[slot]);
         self.meta[slot] &= !DIRTY;
         Some(state)
@@ -368,14 +487,16 @@ impl Llc {
     /// Looks up the line containing `addr`; returns its state on hit.
     /// Updates recency and hit/miss statistics.
     pub fn probe(&mut self, addr: PhysAddr) -> Option<LineState> {
-        let slot = self.probe_at(self.set_of(addr.line()), addr.line()).ok()?;
+        let (tag, set) = self.locate(addr.line());
+        let slot = self.probe_at(set, tag).ok()?;
         Some(Self::state_of(self.meta[slot]))
     }
 
     /// Looks up without disturbing recency or statistics (snoop from another
     /// agent).
     pub fn peek(&self, addr: PhysAddr) -> Option<LineState> {
-        self.peek_at(self.set_of(addr.line()), addr.line())
+        let (tag, set) = self.locate(addr.line());
+        self.peek_at(set, tag)
     }
 
     /// Inserts (or upgrades) the line containing `addr`.
@@ -384,21 +505,27 @@ impl Llc {
     /// device writes cannot occupy the whole cache. Returns eviction
     /// information so the caller can account the writeback.
     pub fn insert(&mut self, addr: PhysAddr, state: LineState, ddio: bool) -> Evicted {
-        self.insert_at(self.set_of(addr.line()), addr.line(), state, ddio)
+        let (tag, set) = self.locate(addr.line());
+        match self.insert_at(set, tag, state, ddio) {
+            Evicted::None => Evicted::None,
+            Evicted::Clean => Evicted::Clean,
+            Evicted::Dirty(victim) => Evicted::Dirty(self.line_of(victim, set)),
+        }
     }
 
     /// Removes the line containing `addr` if present, returning its state.
     /// The caller decides whether a `Modified` line's contents matter (a full
     /// DMA overwrite drops them; an eviction writes them back).
     pub fn invalidate(&mut self, addr: PhysAddr) -> Option<LineState> {
-        self.invalidate_at(self.set_of(addr.line()), addr.line())
+        let (tag, set) = self.locate(addr.line());
+        self.invalidate_at(set, tag)
     }
 
     /// Downgrades a `Modified` line to `Shared` (after a snoop writeback).
     /// Returns `true` if the line was present.
     pub fn downgrade(&mut self, addr: PhysAddr) -> bool {
-        self.downgrade_at(self.set_of(addr.line()), addr.line())
-            .is_some()
+        let (tag, set) = self.locate(addr.line());
+        self.downgrade_at(set, tag).is_some()
     }
 
     /// Lifetime hit count.
@@ -618,9 +745,9 @@ mod tests {
                         c.insert(a, state, r.chance(0.5));
                     }
                     4..=6 => {
-                        let set = c.set_of(line);
-                        if let Err(slot) = c.probe_at(set, line) {
-                            c.fill(set, slot, line, state, false);
+                        let (tag, set) = c.locate(line);
+                        if let Err(slot) = c.probe_at(set, tag) {
+                            c.fill(set, slot, tag, state, false);
                         }
                     }
                     7 => {
@@ -660,5 +787,103 @@ mod tests {
                 assert!(c.peek(PhysAddr(l * LINE_BYTES)).is_some());
             }
         }
+    }
+
+    /// The schedule of `prop_home_counts_match_resident_tags`, run on two
+    /// copies of one cache. Every 50 steps `wrapped`'s stamp counter jumps
+    /// to a few stamps below its limit, so it restamps about six times per
+    /// schedule while `plain` never does; every result must agree.
+    #[test]
+    fn restamp_keeps_every_lru_decision() {
+        let home1 = PhysAddr(1 << NODE_SHIFT).line();
+        let universe: Vec<PhysAddr> = (0..32)
+            .chain(home1..home1 + 32)
+            .map(|line| PhysAddr(line * LINE_BYTES))
+            .collect();
+        let mut r = SimRng::seed(0x5e01f);
+        for schedule in 0..32 {
+            let mut plain = tiny();
+            let mut wrapped = tiny();
+            for step in 0..300 {
+                if step % 50 == 0 {
+                    assert!(wrapped.tick < STAMP_END / 2, "the last jump restamped");
+                    wrapped.tick = STAMP_END - 1 - r.below(4) as u32;
+                }
+                let line = r.below(32) + if r.chance(0.5) { home1 } else { 0 };
+                let a = PhysAddr(line * LINE_BYTES);
+                let state = if r.chance(0.5) {
+                    LineState::Modified
+                } else {
+                    LineState::Shared
+                };
+                let at = format!("schedule {schedule} step {step}");
+                match r.below(10) {
+                    0..=3 => {
+                        let ddio = r.chance(0.5);
+                        let evicted = plain.insert(a, state, ddio);
+                        assert_eq!(evicted, wrapped.insert(a, state, ddio), "{at}");
+                    }
+                    4..=6 => {
+                        let (tag, set) = plain.locate(line);
+                        let probed = plain.probe_at(set, tag);
+                        assert_eq!(probed, wrapped.probe_at(set, tag), "{at}");
+                        if let Err(slot) = probed {
+                            let evicted = plain.fill(set, slot, tag, state, false);
+                            let other = wrapped.fill(set, slot, tag, state, false);
+                            assert_eq!(evicted, other, "{at}");
+                        }
+                    }
+                    7 => assert_eq!(plain.invalidate(a), wrapped.invalidate(a), "{at}"),
+                    8 => assert_eq!(plain.downgrade(a), wrapped.downgrade(a), "{at}"),
+                    _ if r.below(5) == 0 => {
+                        plain.flush_all();
+                        wrapped.flush_all();
+                    }
+                    _ => {}
+                }
+                for &a in &universe {
+                    assert_eq!(plain.peek(a), wrapped.peek(a), "{at}: {a}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn walk_tags_match_single_line_tags() {
+        let skylake = crate::MemConfig::dual_socket_skylake().llc;
+        let lines = 40;
+        for cfg in [LlcConfig::broadwell_14c(), skylake, tiny().cfg] {
+            let c = Llc::new(cfg, 4);
+            let n_sets = c.n_sets as u64;
+            for home in 0..4u64 {
+                let first = home << HOME_LINE_SHIFT;
+                // The home's first line, a walk that starts three sets
+                // before the ring wraps, and the last lines the tags reach.
+                let end = ((home + 1) << HOME_LINE_SHIFT)
+                    .min((c.bases[home as usize] + (1 << REL_BITS)) * n_sets);
+                let wraps = (first / n_sets + 2) * n_sets - 3;
+                for start in [first, wraps, end - lines] {
+                    for (line, (tag, set)) in (start..).zip(c.walk(start, lines)) {
+                        assert_eq!((tag, set), c.locate(line), "line {line:#x}, {n_sets} sets");
+                        assert_eq!(Llc::home_of(tag), home as usize);
+                        assert_eq!(c.line_of(tag, set), line);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves the LLC's tag range")]
+    fn walk_past_the_tag_range_panics() {
+        // 2^24 quotients of `tiny`'s 4 sets cover a home's first 2^26 lines.
+        let _ = tiny().walk((1 << 26) - 2, 3);
+    }
+
+    #[test]
+    fn broadwell_slab_is_eight_bytes_per_way() {
+        let c = Llc::new(LlcConfig::broadwell_14c(), 2);
+        let slab = std::mem::size_of_val(&*c.tags) + std::mem::size_of_val(&*c.meta);
+        assert_eq!(slab, 8 * c.n_sets * c.cfg.ways);
     }
 }

@@ -310,8 +310,8 @@ impl MemSystem {
             LineState::Shared
         };
 
-        for (line, set) in self.llcs[node.0].walk(addr.line(), lines) {
-            match self.llcs[node.0].probe_at(set, line) {
+        for (tag, set) in self.llcs[node.0].walk(addr.line(), lines) {
+            match self.llcs[node.0].probe_at(set, tag) {
                 Ok(slot) => {
                     hit_lines += 1;
                     if write {
@@ -319,7 +319,7 @@ impl MemSystem {
                         self.llcs[node.0].upgrade_cpu(slot);
                         for peer in 0..self.llcs.len() {
                             if peer != node.0 && self.llcs[peer].holds_home(home) {
-                                self.llcs[peer].invalidate_at(set, line);
+                                self.llcs[peer].invalidate_at(set, tag);
                             }
                         }
                     }
@@ -336,9 +336,9 @@ impl MemSystem {
                             continue;
                         }
                         let prior = if write {
-                            self.llcs[peer].invalidate_at(set, line)
+                            self.llcs[peer].invalidate_at(set, tag)
                         } else {
-                            self.llcs[peer].downgrade_at(set, line)
+                            self.llcs[peer].downgrade_at(set, tag)
                         };
                         if prior == Some(LineState::Modified) {
                             self.writebacks[home.0] += 1;
@@ -351,9 +351,9 @@ impl MemSystem {
                         miss_lines += 1;
                     }
                     if let Evicted::Dirty(victim) =
-                        self.llcs[node.0].fill(set, slot, line, state, false)
+                        self.llcs[node.0].fill(set, slot, tag, state, false)
                     {
-                        self.writebacks[PhysAddr(victim * LINE_BYTES).home().0] += 1;
+                        self.writebacks[Llc::home_of(victim)] += 1;
                     }
                 }
             }
@@ -507,12 +507,16 @@ impl MemSystem {
 
         if local {
             // DDIO serves local DMA reads from the LLC when the data is
-            // there; only misses touch DRAM.
+            // there; only misses touch DRAM. A home LLC that holds no line
+            // of its own node cannot hit, so its walk is skipped.
             let llc = &self.llcs[home.0];
-            let hit_lines = llc
-                .walk(addr.line(), lines)
-                .filter(|&(line, set)| llc.peek_at(set, line).is_some())
-                .count() as u64;
+            let hit_lines = if llc.holds_home(home) {
+                llc.walk(addr.line(), lines)
+                    .filter(|&(tag, set)| llc.peek_at(set, tag).is_some())
+                    .count() as u64
+            } else {
+                0
+            };
             let miss_lines = lines - hit_lines;
             let miss_bytes = miss_lines * LINE_BYTES;
             let idle = miss_lines == 0 || self.dram[home.0].read_queue_delay(now) == Dur::ZERO;
@@ -598,11 +602,11 @@ impl MemSystem {
             // Peers first: the passes touch only peers and the fill only the
             // home LLC, so the order changes no state.
             self.invalidate_copies(addr.line(), lines, home, Some(home));
-            for (line, set) in self.llcs[home.0].walk(addr.line(), lines) {
+            for (tag, set) in self.llcs[home.0].walk(addr.line(), lines) {
                 if let Evicted::Dirty(victim) =
-                    self.llcs[home.0].insert_at(set, line, LineState::Modified, true)
+                    self.llcs[home.0].insert_at(set, tag, LineState::Modified, true)
                 {
-                    self.writebacks[PhysAddr(victim * LINE_BYTES).home().0] += 1;
+                    self.writebacks[Llc::home_of(victim)] += 1;
                 }
             }
             self.flush_writebacks(now, home);
@@ -740,8 +744,8 @@ impl MemSystem {
     fn invalidate_copies(&mut self, first: u64, lines: u64, home: NodeId, keep: Option<NodeId>) {
         for (node, llc) in self.llcs.iter_mut().enumerate() {
             if Some(NodeId(node)) != keep && llc.holds_home(home) {
-                for (line, set) in llc.walk(first, lines) {
-                    llc.invalidate_at(set, line);
+                for (tag, set) in llc.walk(first, lines) {
+                    llc.invalidate_at(set, tag);
                 }
             }
         }

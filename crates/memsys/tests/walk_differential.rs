@@ -6,7 +6,9 @@
 //! call per line locates each set from scratch, so the two must agree on
 //! every byte counter and on the cached state of every line. The cache has
 //! 16 sets and calls span up to 80 lines, so most multi-line calls wrap
-//! the set index, several times over for the longest.
+//! the set index, several times over for the longest. Each wrap also moves
+//! the walk's 32-bit tag to the next set-ring quotient; the second test
+//! runs those increments from a node-1 buffer that starts mid-ring.
 
 use memsys::cache::LineState;
 use memsys::{AccessKind, Counters, LlcConfig, MemConfig, MemSystem, NodeId, PhysAddr};
@@ -87,6 +89,57 @@ fn multi_line_walks_match_line_at_a_time() {
             assert_eq!(
                 snapshot(&walked, &bufs),
                 snapshot(&single, &bufs),
+                "schedule {schedule} call {call}: {kind:?} by {node} of {lines} lines at {start}"
+            );
+        }
+    }
+}
+
+/// A node-1 buffer on a 12-set cache. 12 does not divide node 1's first
+/// line, so the buffer starts mid-ring (at set 4) and the tags' base
+/// quotient for node 1 is rounded down. The buffer is five times the set
+/// count and calls span up to four times it, so most multi-line walks
+/// cross one or more tag increments.
+#[test]
+fn node1_walks_across_tag_increments_match_line_at_a_time() {
+    const SETS: u64 = 12;
+    const LINES: u64 = 5 * SETS;
+    let build = || {
+        let mut m = MemSystem::new(MemConfig {
+            llc: LlcConfig {
+                capacity_bytes: SETS * 4 * 64,
+                ways: 4,
+                ddio_ways: 2,
+            },
+            ..MemConfig::dual_socket_broadwell()
+        });
+        let buf = m.alloc(NodeId(1), LINES * 64);
+        (m, buf)
+    };
+    let (_, buf) = build();
+    let snapshot = |m: &MemSystem| {
+        let states: Vec<_> = (0..LINES)
+            .flat_map(|l| [0, 1].map(|n| m.peek_line(NodeId(n), buf.offset(l * 64))))
+            .collect();
+        (m.counters(), states)
+    };
+    let mut r = SimRng::seed(0x5e7d);
+    for schedule in 0..24 {
+        let (mut walked, _) = build();
+        let (mut single, _) = build();
+        for call in 0..1 + r.below(40) {
+            let kind = *r.pick(&[Kind::CpuRead, Kind::CpuWrite, Kind::DmaRead, Kind::DmaWrite]);
+            let node = NodeId(r.below(2) as usize);
+            let lines = 1 + r.below(4 * SETS);
+            let start = buf.offset(r.below(LINES - lines + 1) * 64);
+            let t = Time::from_us(call);
+            access(&mut walked, t, kind, node, start, lines * 64);
+            for l in 0..lines {
+                access(&mut single, t, kind, node, start.offset(l * 64), 64);
+            }
+            assert_eq!(
+                snapshot(&walked),
+                snapshot(&single),
                 "schedule {schedule} call {call}: {kind:?} by {node} of {lines} lines at {start}"
             );
         }
