@@ -18,8 +18,8 @@ pub fn header(fig: &str, caption: &str) {
 }
 
 /// Prints the closing footer with wall-clock cost and the self-profiled
-/// event throughput since the header. Drains the metrics registry's run
-/// accounting ([`telemetry::registry::take_run_stats`]) — the same cells
+/// event throughput since the header. Drains the run counters
+/// ([`telemetry::registry::take_run_stats`]) — the same cells
 /// the experiment runners credit through `ioctopus::perf` and that
 /// `perf_baseline` renders into the baseline JSON, so every consumer
 /// reports from one source.

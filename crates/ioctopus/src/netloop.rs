@@ -322,17 +322,17 @@ impl NetLoop {
     /// Enables the system-wide invariant audit: conservation checks on
     /// both hosts (buffer pools, descriptor rings, socket accounting, PCIe
     /// transaction tallies) plus event-queue time-monotonicity, run every
-    /// `every` of simulated time. Passing `Dur::ZERO` audits after *every*
-    /// dispatched event instead (first-failure isolation for debugging; it
-    /// stops at the first violation so the list stays bounded). Results
-    /// accumulate in [`NetLoop::audit`]; auditing reads the simulation
-    /// without touching it, so enabling it never perturbs a run's event
-    /// order.
+    /// `every` of simulated time. Results accumulate in
+    /// [`NetLoop::audit`]; auditing reads the simulation without touching
+    /// it, so enabling it never perturbs a run's event order.
+    ///
+    /// # Panics
+    /// If `every` is zero: the audit would re-arm at the same instant
+    /// forever.
     pub fn enable_audit(&mut self, every: Dur) {
+        assert!(every > Dur::ZERO, "audit period must be positive");
         self.audit_every = Some(every);
-        if every > Dur::ZERO {
-            self.q.push(Time::ZERO + every, Event::Audit);
-        }
+        self.q.push(Time::ZERO + every, Event::Audit);
     }
 
     /// Runs one audit pass over the whole system into
@@ -489,14 +489,10 @@ impl NetLoop {
     /// in push-sequence order either way, handlers never read the queue, and
     /// anything they schedule lands at a later sequence number than every
     /// batch member — so the pop order, the router's sequence assignment,
-    /// and every reservation are unchanged.
+    /// and every reservation are unchanged. Batching earns its place by
+    /// measurement: on the binary-heap queue the one-at-a-time loop ran
+    /// `kv_mix` 4–8% slower (EXPERIMENTS.md, "Binary-heap event queue").
     pub fn run(&mut self, until: Time) {
-        // Per-step auditing wants the queue observed between every two
-        // events, which batching elides; use the reference loop there.
-        if self.audit_every == Some(Dur::ZERO) {
-            self.run_unbatched(until);
-            return;
-        }
         while let Some(at) = self.q.peek_time() {
             if at > until {
                 break;
@@ -541,8 +537,7 @@ impl NetLoop {
 
     /// The reference event loop: pops and dispatches one event at a time.
     /// Kept as the differential-test oracle for the batched [`run`]
-    /// (`tests/batched_dispatch.rs` requires bit-identical results) and as
-    /// the carrier for per-step auditing.
+    /// (`tests/batched_dispatch.rs` requires bit-identical results).
     pub fn run_unbatched(&mut self, until: Time) {
         while let Some(at) = self.q.peek_time() {
             if at > until {
@@ -551,12 +546,6 @@ impl NetLoop {
             let (at, ev) = self.q.pop().expect("peeked");
             self.now = at;
             self.dispatch(at, ev);
-            // Per-step auditing (`enable_audit(Dur::ZERO)`) stops at the
-            // first violation: it pinpoints the offending event without
-            // letting a persistently broken invariant grow the list.
-            if self.audit_every == Some(Dur::ZERO) && self.audit.ok() {
-                self.run_audit();
-            }
         }
         self.now = self.now.max(until);
     }
@@ -662,9 +651,7 @@ impl NetLoop {
             Event::Audit => {
                 self.run_audit();
                 if let Some(every) = self.audit_every {
-                    if every > Dur::ZERO {
-                        self.q.push(now + every, Event::Audit);
-                    }
+                    self.q.push(now + every, Event::Audit);
                 }
             }
             Event::StreamStep { idx } => {

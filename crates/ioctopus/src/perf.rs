@@ -5,85 +5,83 @@
 //! wall-clock time to print an events/second figure and to emit the
 //! machine-readable perf baseline (`BENCH_2.json`).
 //!
-//! Storage lives in the `telemetry` crate's process-wide metrics registry
-//! (under the well-known `sim.*` labels), so the human bench footer, the
-//! baseline JSON, and any other registry consumer all read the *same*
-//! cells — this module is a compatibility shim that keeps the established
-//! `note_*`/`take_*` API for the runners. The cells are relaxed atomics:
-//! cheap enough to bump once per *run* (not per event), safe under the
-//! parallel sweep.
+//! Storage is the `telemetry` crate's four static run counters, so the
+//! human bench footer and the baseline JSON read the *same* cells — this
+//! module keeps the established `note_*`/`take_*` API for the runners. The
+//! cells are relaxed atomics: cheap enough to bump once per *run* (not per
+//! event), safe under the parallel sweep.
 
-use telemetry::registry::{run_counter, AUDITS, EVENTS, FENCED, RECONFIGS};
+use telemetry::registry::{AUDITS, EVENTS, FENCED, RECONFIGS};
 
 /// Credits `n` simulation events to the process-wide counter. Runners call
 /// this once per simulation with their event loop's final count.
 pub fn note_events(n: u64) {
-    run_counter(EVENTS).add(n);
+    EVENTS.add(n);
 }
 
 /// Total events credited since the process started (or since the last
 /// [`take_events`]).
 pub fn events() -> u64 {
-    run_counter(EVENTS).get()
+    EVENTS.get()
 }
 
 /// Reads and resets the counter; returns the count at the moment of reset.
 /// Harnesses call this around each figure to attribute events per figure.
 pub fn take_events() -> u64 {
-    run_counter(EVENTS).take()
+    EVENTS.take()
 }
 
 /// Credits `n` invariant checks (individual [`simcore::Audit`] predicate
 /// evaluations) to the process-wide counter, so bench footers can report
 /// audit throughput alongside event throughput.
 pub fn note_audits(n: u64) {
-    run_counter(AUDITS).add(n);
+    AUDITS.add(n);
 }
 
 /// Total invariant checks credited since the process started (or since the
 /// last [`take_audits`]).
 pub fn audits() -> u64 {
-    run_counter(AUDITS).get()
+    AUDITS.get()
 }
 
 /// Reads and resets the invariant-check counter.
 pub fn take_audits() -> u64 {
-    run_counter(AUDITS).take()
+    AUDITS.take()
 }
 
 /// Credits `n` epoch-fenced completions/interrupts (stale deliveries from a
 /// surprise-removed device, counted and discarded). Runners call this once
 /// per simulation from the host's robustness counters.
 pub fn note_fenced(n: u64) {
-    run_counter(FENCED).add(n);
+    FENCED.add(n);
 }
 
 /// Total fenced deliveries credited since the process started (or since the
 /// last [`take_fenced`]).
 pub fn fenced() -> u64 {
-    run_counter(FENCED).get()
+    FENCED.get()
 }
 
 /// Reads and resets the fenced-delivery counter.
 pub fn take_fenced() -> u64 {
-    run_counter(FENCED).take()
+    FENCED.take()
 }
 
 /// Credits `n` completed quiesce/drain/rebind reconfiguration sequences
 /// (hotplug transitions in either direction).
 pub fn note_reconfigs(n: u64) {
-    run_counter(RECONFIGS).add(n);
+    RECONFIGS.add(n);
 }
 
 /// Total reconfigurations credited since the process started (or since the
 /// last [`take_reconfigs`]).
 pub fn reconfigs() -> u64 {
-    run_counter(RECONFIGS).get()
+    RECONFIGS.get()
 }
 
 /// Reads and resets the reconfiguration counter.
 pub fn take_reconfigs() -> u64 {
-    run_counter(RECONFIGS).take()
+    RECONFIGS.take()
 }
 
 #[cfg(test)]

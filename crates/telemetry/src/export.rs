@@ -513,7 +513,7 @@ pub mod json {
     }
 }
 
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::TraceRing;

@@ -4,17 +4,16 @@
 //! time only, no wallclock, no hash-order dependence, zero allocation in
 //! steady state):
 //!
-//! * [`registry`] — a process-wide metrics registry (counters, gauges,
-//!   log-bucketed histograms) keyed by interned `&'static str` labels.
-//!   The substrate crates register into it and the bench footers /
-//!   results JSON render from it, so there is exactly one source of
-//!   aggregate accounting.
+//! * [`registry`] — the process-wide run counters (events, audit checks,
+//!   fenced deliveries, reconfigurations) the bench footers and results
+//!   JSON render from, so there is exactly one source of aggregate
+//!   accounting, plus the per-run [`Snapshot`] metric table.
 //! * [`trace`] — a span/event tracer: fixed-size [`trace::TraceRecord`]s
 //!   stamped with simulated time, pushed into pre-sized per-domain
 //!   ring buffers ([`trace::TraceRing`]) owned by the component that
 //!   emits them. Off by default (a component holds `Option<TraceRing>`,
 //!   so the steady-state cost of disabled tracing is one branch per
-//!   record site) and compiled out entirely without the `trace` feature.
+//!   record site).
 //! * [`flight`] — the NUMA-locality flight recorder: a per-flow/per-PF
 //!   ledger of local vs. remote DMA bytes, DDIO outcomes and QPI
 //!   crossings, pre-sized so steady-state recording never allocates.
@@ -33,5 +32,5 @@ pub mod registry;
 pub mod trace;
 
 pub use flight::{FlightRecorder, LedgerCells, LocalityTable};
-pub use registry::{Counter, Gauge, Histogram, Registry, RunStats, Snapshot};
+pub use registry::{Counter, RunStats, Snapshot};
 pub use trace::{Domain, TraceKind, TraceRecord, TraceRing, TraceSet};

@@ -1,28 +1,22 @@
-//! The metrics registry: interned static labels, atomic instruments.
+//! Run accounting and per-run metric tables.
 //!
 //! Two layers:
 //!
-//! * The **process-wide registry** ([`Registry::global`]) holds counters
-//!   that aggregate across every simulation a process runs — the bench
-//!   harness's events/audits/fenced/reconfig footer accounting lives
-//!   here ([`RunStats`]). Instruments are registered once per label
-//!   (interned by string content, so the same name always resolves to
-//!   the same cell) and handed out as `&'static` references; the hot
-//!   path is a single relaxed atomic op with no lock and no allocation.
-//!   Registration itself (cold, once per label) takes a mutex and leaks
-//!   one small box — bounded by the number of distinct labels.
+//! * **Process-wide run accounting**: four static [`Counter`]s
+//!   ([`EVENTS`], [`AUDITS`], [`FENCED`], [`RECONFIGS`]) aggregate across
+//!   every simulation a process runs. Runners credit them once per run
+//!   through `ioctopus::perf`; the bench footer and the baseline JSON drain
+//!   them with [`take_run_stats`]. Crediting is one relaxed atomic add,
+//!   with no lock and no allocation.
 //! * **Per-run snapshots** ([`Snapshot`]) are plain sorted tables each
 //!   component fills from its own counters at harvest time (see
 //!   `NetLoop::metrics_snapshot` in the `ioctopus` crate). They carry
 //!   the per-run story that must not be smeared across sweep threads.
 //!
-//! Determinism: labels are `&'static str`, lookup is by string content
-//! (a linear scan over the registration table — label counts are tiny),
-//! and snapshots render in sorted label order. Nothing depends on hash
-//! order, pointer values, or wallclock.
+//! Determinism: snapshots render in sorted label order. Nothing depends
+//! on hash order, pointer values, or wallclock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
 
 /// A monotonically increasing counter (relaxed atomics: cheap under the
 /// parallel sweep, exact once the pool has joined).
@@ -52,185 +46,6 @@ impl Counter {
     }
 }
 
-/// A last-value-wins gauge.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Creates a zeroed gauge.
-    pub const fn new() -> Self {
-        Gauge(AtomicU64::new(0))
-    }
-
-    /// Sets the value.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Number of log2 buckets a [`Histogram`] keeps (covers the full u64
-/// range: bucket `i` counts values whose bit length is `i`).
-pub const HIST_BUCKETS: usize = 65;
-
-/// A log-bucketed histogram: bucket `i` counts recorded values `v` with
-/// `bit_length(v) == i` (bucket 0 is exactly zero). Good enough for
-/// latency/size distributions at simulation fidelity, and recording is
-/// one relaxed atomic increment — no allocation, no lock.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; HIST_BUCKETS],
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub const fn new() -> Self {
-        Histogram {
-            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
-        }
-    }
-
-    /// Records one value.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        let b = (u64::BITS - v.leading_zeros()) as usize;
-        self.buckets[b].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Bucket counts, index = bit length of the recorded value.
-    pub fn buckets(&self) -> [u64; HIST_BUCKETS] {
-        let mut out = [0u64; HIST_BUCKETS];
-        for (o, b) in out.iter_mut().zip(&self.buckets) {
-            *o = b.load(Ordering::Relaxed);
-        }
-        out
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-enum Instrument {
-    Counter(&'static Counter),
-    Gauge(&'static Gauge),
-    Histogram(&'static Histogram),
-}
-
-/// The interning metrics registry. See the module docs for the
-/// global-vs-per-run split.
-pub struct Registry {
-    table: Mutex<Vec<(&'static str, Instrument)>>,
-}
-
-impl std::fmt::Debug for Registry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let n = self.table.lock().map(|t| t.len()).unwrap_or(0);
-        write!(f, "Registry({n} instruments)")
-    }
-}
-
-impl Registry {
-    /// Creates an empty registry.
-    pub const fn new() -> Self {
-        Registry {
-            table: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The process-wide registry.
-    pub fn global() -> &'static Registry {
-        static GLOBAL: Registry = Registry::new();
-        &GLOBAL
-    }
-
-    /// Interns `name` as a counter: the first call registers (and leaks)
-    /// the cell, later calls return the same cell. Panics if `name` is
-    /// already registered as a different instrument kind.
-    pub fn counter(&self, name: &'static str) -> &'static Counter {
-        let mut t = self.table.lock().expect("registry poisoned");
-        if let Some((_, i)) = t.iter().find(|(n, _)| *n == name) {
-            if let Instrument::Counter(c) = i {
-                return c;
-            }
-            // Panic outside the lock so a kind-mismatch bug cannot poison
-            // the global registry for unrelated code.
-            drop(t);
-            panic!("label {name:?} registered as a non-counter");
-        }
-        let c: &'static Counter = Box::leak(Box::new(Counter::new()));
-        t.push((name, Instrument::Counter(c)));
-        c
-    }
-
-    /// Interns `name` as a gauge (see [`Registry::counter`]).
-    pub fn gauge(&self, name: &'static str) -> &'static Gauge {
-        let mut t = self.table.lock().expect("registry poisoned");
-        if let Some((_, i)) = t.iter().find(|(n, _)| *n == name) {
-            if let Instrument::Gauge(g) = i {
-                return g;
-            }
-            // Panic outside the lock so a kind-mismatch bug cannot poison
-            // the global registry for unrelated code.
-            drop(t);
-            panic!("label {name:?} registered as a non-gauge");
-        }
-        let g: &'static Gauge = Box::leak(Box::new(Gauge::new()));
-        t.push((name, Instrument::Gauge(g)));
-        g
-    }
-
-    /// Interns `name` as a histogram (see [`Registry::counter`]).
-    pub fn histogram(&self, name: &'static str) -> &'static Histogram {
-        let mut t = self.table.lock().expect("registry poisoned");
-        if let Some((_, i)) = t.iter().find(|(n, _)| *n == name) {
-            if let Instrument::Histogram(h) = i {
-                return h;
-            }
-            // Panic outside the lock so a kind-mismatch bug cannot poison
-            // the global registry for unrelated code.
-            drop(t);
-            panic!("label {name:?} registered as a non-histogram");
-        }
-        let h: &'static Histogram = Box::leak(Box::new(Histogram::new()));
-        t.push((name, Instrument::Histogram(h)));
-        h
-    }
-
-    /// A sorted snapshot of every registered counter and gauge (histograms
-    /// contribute their sample count under `<name>.count`).
-    pub fn snapshot(&self) -> Snapshot {
-        let t = self.table.lock().expect("registry poisoned");
-        let mut s = Snapshot::new();
-        for (name, i) in t.iter() {
-            match i {
-                Instrument::Counter(c) => s.push(name, c.get()),
-                Instrument::Gauge(g) => s.push(name, g.get()),
-                Instrument::Histogram(h) => s.push_counted(name, h.count()),
-            }
-        }
-        s.sort();
-        s
-    }
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// A per-run metric table: `(label, value)` rows a harvest pass fills
 /// from component counters, rendered in sorted label order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -246,11 +61,6 @@ impl Snapshot {
 
     /// Appends one row.
     pub fn push(&mut self, name: &'static str, value: u64) {
-        self.rows.push((name, value));
-    }
-
-    fn push_counted(&mut self, name: &'static str, value: u64) {
-        // Histograms appear by sample count; buckets are export-only.
         self.rows.push((name, value));
     }
 
@@ -283,20 +93,20 @@ impl Snapshot {
 }
 
 // ---------------------------------------------------------------------
-// Well-known process-wide run accounting (the bench-footer counters).
+// Process-wide run accounting (the bench-footer counters).
 // ---------------------------------------------------------------------
 
-/// Label of the dispatched-simulation-events counter.
-pub const EVENTS: &str = "sim.events.dispatched";
-/// Label of the invariant-audit-checks counter.
-pub const AUDITS: &str = "sim.audit.checks";
-/// Label of the epoch-fenced-deliveries counter.
-pub const FENCED: &str = "sim.fence.discards";
-/// Label of the completed-reconfigurations counter.
-pub const RECONFIGS: &str = "sim.reconfig.completed";
+/// Simulation events dispatched.
+pub static EVENTS: Counter = Counter::new();
+/// Invariant-audit predicate evaluations.
+pub static AUDITS: Counter = Counter::new();
+/// Epoch-fenced completions and interrupts (counted, never delivered).
+pub static FENCED: Counter = Counter::new();
+/// Completed quiesce/drain/rebind reconfigurations.
+pub static RECONFIGS: Counter = Counter::new();
 
-/// The aggregate accounting a bench footer prints, drained from the
-/// global registry — the *single* source both the human footer and the
+/// The aggregate accounting a bench footer prints, drained from the four
+/// run counters — the *single* source both the human footer and the
 /// machine-readable baseline JSON render from.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
@@ -310,43 +120,14 @@ pub struct RunStats {
     pub reconfigs: u64,
 }
 
-fn well_known() -> &'static [&'static Counter; 4] {
-    static CELLS: OnceLock<[&'static Counter; 4]> = OnceLock::new();
-    CELLS.get_or_init(|| {
-        let r = Registry::global();
-        [
-            r.counter(EVENTS),
-            r.counter(AUDITS),
-            r.counter(FENCED),
-            r.counter(RECONFIGS),
-        ]
-    })
-}
-
-/// Credits `stats` to the global registry's run accounting.
-pub fn note_run(stats: RunStats) {
-    let [e, a, f, r] = well_known();
-    e.add(stats.events);
-    a.add(stats.audits);
-    f.add(stats.fenced);
-    r.add(stats.reconfigs);
-}
-
-/// The counter behind one of the well-known labels, for callers that
-/// credit a single dimension.
-pub fn run_counter(label: &'static str) -> &'static Counter {
-    Registry::global().counter(label)
-}
-
 /// Drains the run accounting, returning the values at the reset instant.
 /// Harnesses call this once per figure to attribute work per figure.
 pub fn take_run_stats() -> RunStats {
-    let [e, a, f, r] = well_known();
     RunStats {
-        events: e.take(),
-        audits: a.take(),
-        fenced: f.take(),
-        reconfigs: r.take(),
+        events: EVENTS.take(),
+        audits: AUDITS.take(),
+        fenced: FENCED.take(),
+        reconfigs: RECONFIGS.take(),
     }
 }
 
@@ -355,53 +136,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_interns_by_content() {
-        let r = Registry::global();
-        let a = r.counter("test.registry.intern");
-        let b = r.counter("test.registry.intern");
-        assert!(std::ptr::eq(a, b), "same label, same cell");
-        a.add(3);
-        assert!(b.get() >= 3);
-        let _ = a.take();
-    }
-
-    #[test]
-    #[should_panic(expected = "non-counter")]
-    fn kind_mismatch_panics() {
-        let r = Registry::global();
-        let _ = r.gauge("test.registry.kind");
-        let _ = r.counter("test.registry.kind");
-    }
-
-    #[test]
-    fn histogram_buckets_by_bit_length() {
-        let h = Histogram::new();
-        h.record(0);
-        h.record(1);
-        h.record(7);
-        h.record(1024);
-        let b = h.buckets();
-        assert_eq!(b[0], 1);
-        assert_eq!(b[1], 1);
-        assert_eq!(b[3], 1);
-        assert_eq!(b[11], 1);
-        assert_eq!(h.count(), 4);
-    }
-
-    #[test]
-    fn run_stats_roundtrip() {
-        let _ = take_run_stats();
-        note_run(RunStats {
-            events: 5,
-            audits: 2,
-            fenced: 1,
-            reconfigs: 1,
-        });
-        let got = take_run_stats();
-        assert!(got.events >= 5);
-        assert!(got.audits >= 2);
-        assert!(got.fenced >= 1);
-        assert!(got.reconfigs >= 1);
+    fn counter_take_resets() {
+        let c = Counter::new();
+        c.add(3);
+        c.add(4);
+        assert_eq!(c.get(), 7);
+        assert_eq!(c.take(), 7);
+        assert_eq!(c.get(), 0);
     }
 
     #[test]

@@ -197,8 +197,7 @@ pub struct TraceRecord {
 ///
 /// `push` never allocates: the backing store is reserved up front and
 /// wraps in place, overwriting the oldest records (counted in
-/// `overwritten`). Without the crate's `trace` feature, `push` is a
-/// no-op and compiles away.
+/// `overwritten`).
 #[derive(Debug, Clone)]
 pub struct TraceRing {
     domain: Domain,
@@ -233,29 +232,22 @@ impl TraceRing {
     /// allocation — the buffer was reserved at construction).
     #[inline]
     pub fn push(&mut self, t: Time, kind: TraceKind, a: u64, b: u64, c: u64, d: u64) {
-        #[cfg(feature = "trace")]
-        {
-            let r = TraceRecord {
-                t,
-                seq: self.next_seq,
-                kind,
-                a,
-                b,
-                c,
-                d,
-            };
-            self.next_seq += 1;
-            if self.buf.len() < self.cap {
-                self.buf.push(r);
-            } else {
-                self.buf[self.head] = r;
-                self.head = (self.head + 1) % self.cap;
-                self.overwritten += 1;
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (t, kind, a, b, c, d);
+        let r = TraceRecord {
+            t,
+            seq: self.next_seq,
+            kind,
+            a,
+            b,
+            c,
+            d,
+        };
+        self.next_seq += 1;
+        if self.buf.len() < self.cap {
+            self.buf.push(r);
+        } else {
+            self.buf[self.head] = r;
+            self.head = (self.head + 1) % self.cap;
+            self.overwritten += 1;
         }
     }
 
@@ -343,7 +335,6 @@ mod tests {
         assert_eq!(DmaRoute::unpack(r2.pack()), r2);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn ring_wraps_without_growing() {
         let mut r = TraceRing::new(Domain::Nic, 4);
@@ -359,7 +350,6 @@ mod tests {
         assert_eq!(kept[3].a, 9);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn merge_order_is_collection_order_independent() {
         let mut a = TraceRing::new(Domain::Nic, 8);

@@ -4,14 +4,16 @@
 //! the queue, rings, and socket buffers reach a steady footprint during
 //! warmup. After that, running more simulated time must perform **zero**
 //! heap allocations — this test installs a counting global allocator and
-//! holds the line. If it starts failing, something on the hot path regained
-//! a per-event `Vec`/`Box`.
+//! holds the line on two windows: a Figure 6 RxStream and the Figure 10
+//! key-value machine. If it starts failing, something on the hot path
+//! regained a per-event `Vec`/`Box` or a container that keeps growing.
 //!
 //! Single test in this binary on purpose: the allocator counter is
-//! process-wide, and a lone test keeps the measurement window quiet.
+//! process-wide, and a lone test keeps the measurement windows quiet.
 
 use ioctopus::config::{BuildOpts, Placement};
-use ioctopus::netloop::{make_rx_stream, App, NetLoop};
+use ioctopus::experiments::memcached::{CLIENTS, KEYS, SERVER_CORES};
+use ioctopus::netloop::{make_kv, make_rx_stream, App, NetLoop};
 use ioctopus::system::build_duplex;
 use simcore::alloc_count::{allocation_count, CountingAlloc};
 use simcore::Time;
@@ -19,8 +21,34 @@ use simcore::Time;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Runs `nl` to `until` and returns `(allocations, events)` over the span.
+/// On failure: re-run with `trap_allocations(true, N)` armed here to get
+/// stderr backtraces for the first N offending call sites.
+fn window(nl: &mut NetLoop, until: Time) -> (u64, u64) {
+    let events = nl.events_processed();
+    let before = allocation_count();
+    nl.run(until);
+    (allocation_count() - before, nl.events_processed() - events)
+}
+
+fn assert_no_allocations(what: &str, allocs: u64, events: u64) {
+    assert_eq!(
+        allocs,
+        0,
+        "{what}: steady-state dispatch must not allocate: {allocs} allocations over {events} \
+         events ({:.4} allocs/event)",
+        allocs as f64 / events as f64
+    );
+}
+
 #[test]
 fn steady_state_rx_stream_allocates_nothing() {
+    rx_stream_window();
+    key_value_window();
+}
+
+/// A Figure 6 receive stream at 16 KiB messages, 8 ms warmup, 8→14 ms.
+fn rx_stream_window() {
     let mut duplex = build_duplex(Placement::Octopus, BuildOpts::default());
     let app = make_rx_stream(
         &mut duplex,
@@ -35,7 +63,7 @@ fn steady_state_rx_stream_allocates_nothing() {
     let i = nl.add_app(App::Rx(app));
     nl.start_apps(Time::ZERO);
 
-    // Warm every recycled capacity: out-buffers, batch, queue buckets,
+    // Warm every recycled capacity: out-buffers, batch, queue heap,
     // ring scratch, socket buffers.
     nl.run(Time::from_ms(8));
     let warm_events = nl.events_processed();
@@ -45,13 +73,7 @@ fn steady_state_rx_stream_allocates_nothing() {
     };
     assert!(warm_events > 1000, "warmup must exercise the hot path");
 
-    // On failure: re-run with `trap_allocations(true, N)` armed here to get
-    // stderr backtraces for the first N offending call sites.
-    let before = allocation_count();
-    nl.run(Time::from_ms(14));
-    let allocs = allocation_count() - before;
-
-    let events = nl.events_processed() - warm_events;
+    let (allocs, events) = window(&mut nl, Time::from_ms(14));
     let consumed = match nl.app(i) {
         App::Rx(a) => a.consumed,
         _ => unreachable!(),
@@ -61,11 +83,50 @@ fn steady_state_rx_stream_allocates_nothing() {
         "measurement window must stream data"
     );
     assert!(events > 5_000, "measurement window too small: {events}");
-    assert_eq!(
-        allocs,
-        0,
-        "steady-state dispatch must not allocate: {allocs} allocations over {events} events \
-         ({:.4} allocs/event)",
-        allocs as f64 / events as f64
+    assert_no_allocations("rx stream", allocs, events);
+}
+
+/// The Figure 10 machine, built as `memcached::run` builds it: 14
+/// key-value connections on the octoNIC at 50% SET, warmed to 30 ms,
+/// measured over 30→60 ms. Fourteen connections keep many requests in
+/// flight at once, so this window also holds the event queue's footprint
+/// to a steady state.
+fn key_value_window() {
+    let p = Placement::Octopus;
+    let mut duplex = build_duplex(p, BuildOpts::default());
+    let apps: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            make_kv(
+                &mut duplex,
+                p.app_core() + (c % SERVER_CORES),
+                c,
+                kernel::NetdevId(0),
+                0.5,
+                KEYS,
+                5000 + c as u16,
+                0xC0FFEE + c as u64,
+            )
+        })
+        .collect();
+    let mut nl = NetLoop::new(duplex);
+    let idxs: Vec<usize> = apps.into_iter().map(|a| nl.add_app(App::Kv(a))).collect();
+    let done = |nl: &NetLoop| -> u64 {
+        idxs.iter()
+            .map(|&i| match nl.app(i) {
+                App::Kv(a) => a.done,
+                _ => unreachable!(),
+            })
+            .sum()
+    };
+    nl.start_apps(Time::ZERO);
+    nl.run(Time::from_ms(30));
+    let warm_done = done(&nl);
+
+    let (allocs, events) = window(&mut nl, Time::from_ms(60));
+    assert!(
+        done(&nl) > warm_done,
+        "measurement window must serve requests"
     );
+    assert!(events > 100_000, "measurement window too small: {events}");
+    assert_no_allocations("key-value", allocs, events);
 }

@@ -3,8 +3,8 @@
 //!
 //! The tracer rings are pre-sized at enable time and overwrite in place
 //! once full; the flight recorder reserves its row table up front and
-//! aggregates overflow into a fixed bucket; the registry cells are
-//! leaked statics. So steady-state dispatch must stay at **zero** heap
+//! aggregates overflow into a fixed bucket; the run counters are
+//! statics. So steady-state dispatch must stay at **zero** heap
 //! allocations even while every record path is live — this is the
 //! property that keeps tracing safe to turn on against perf runs.
 //!

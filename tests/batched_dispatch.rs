@@ -2,9 +2,10 @@
 //! bit-for-bit identical to the one-event-at-a-time oracle
 //! (`NetLoop::run_unbatched`). Draining a same-timestamp batch up front and
 //! grouping consecutive same-destination wire arrivals under one host
-//! borrow amortizes queue settles and router lookups — but it must never
-//! reorder dispatch, because per-flow wire sequence numbers are assigned in
-//! dispatch order. Any divergence here is a correctness bug, not noise.
+//! borrow amortizes per-event loop overhead and router lookups — but it
+//! must never reorder dispatch, because per-flow wire sequence numbers are
+//! assigned in dispatch order. Any divergence here is a correctness bug,
+//! not noise.
 
 use ioctopus::config::{BuildOpts, Placement};
 use ioctopus::netloop::{make_rr, make_rx_stream, App, NetLoop};

@@ -44,103 +44,6 @@ fn rr_sweep_parallel_is_bit_identical_to_serial() {
     assert_eq!(serial, parallel, "parallel RR sweep diverged from serial");
 }
 
-/// Chaos-campaign satellite: the calendar event queue must stay
-/// bit-identical to the binary-heap oracle under fault-heavy schedules
-/// whose retry timers reschedule events *at* or nanoseconds after the
-/// current instant — exactly the traffic the recovery paths generate
-/// (bounded exponential backoff, zero-gap flaps, same-instant bursts).
-#[test]
-fn calendar_queue_matches_heap_oracle_under_fault_heavy_schedules() {
-    use simcore::campaign::{plan_for, CampaignConfig};
-    use simcore::queue::HeapEventQueue;
-    use simcore::{Dur, EventQueue, SimRng, Time};
-
-    trait TestQueue {
-        fn push(&mut self, at: Time, e: u64);
-        fn pop(&mut self) -> Option<(Time, u64)>;
-        fn regressions(&self) -> u64;
-    }
-    impl TestQueue for EventQueue<u64> {
-        fn push(&mut self, at: Time, e: u64) {
-            EventQueue::push(self, at, e);
-        }
-        fn pop(&mut self) -> Option<(Time, u64)> {
-            EventQueue::pop(self)
-        }
-        fn regressions(&self) -> u64 {
-            self.time_regressions()
-        }
-    }
-    impl TestQueue for HeapEventQueue<u64> {
-        fn push(&mut self, at: Time, e: u64) {
-            HeapEventQueue::push(self, at, e);
-        }
-        fn pop(&mut self) -> Option<(Time, u64)> {
-            HeapEventQueue::pop(self)
-        }
-        fn regressions(&self) -> u64 {
-            self.time_regressions()
-        }
-    }
-
-    // Seed the queue with several generated fault schedules, then let every
-    // pop spawn retry timers the way the recovery code does. The driver is
-    // deterministic, so both queue implementations see the identical push
-    // sequence and must produce the identical pop sequence.
-    fn drive<Q: TestQueue>(q: &mut Q, seed: u64) -> (Vec<(Time, u64)>, u64) {
-        let mut cfg = CampaignConfig::new(seed, 4);
-        cfg.media_faults = true;
-        let mut id = 0u64;
-        for i in 0..6 {
-            for e in plan_for(&cfg, i).events() {
-                q.push(e.at, id);
-                id += 1;
-            }
-        }
-        let mut rng = SimRng::seed(seed ^ 0xA5A5_5A5A);
-        let mut out = Vec::new();
-        while let Some((at, e)) = q.pop() {
-            out.push((at, e));
-            let kids = if rng.chance(0.35) {
-                2
-            } else if rng.chance(0.5) {
-                1
-            } else {
-                0
-            };
-            for _ in 0..kids {
-                if id >= 50_000 {
-                    break;
-                }
-                let gap = if rng.chance(0.25) {
-                    Dur::ZERO // a retry landing exactly *now*
-                } else if rng.chance(0.3) {
-                    Dur::from_ns(1 + rng.below(50)) // near-now
-                } else {
-                    let attempt = rng.below(6) as u32;
-                    Dur::from_us(20) * (1u64 << attempt.min(10))
-                };
-                q.push(at + gap, id);
-                id += 1;
-            }
-        }
-        (out, q.regressions())
-    }
-
-    for seed in [0x0c70u64, 0xf417, 0x9e37_79b9] {
-        let (a, ra) = drive(&mut EventQueue::new(), seed);
-        let (b, rb) = drive(&mut HeapEventQueue::new(), seed);
-        assert!(
-            a.len() > 10_000,
-            "driver must stress the wheel: {}",
-            a.len()
-        );
-        assert_eq!(a, b, "calendar queue diverged from the heap oracle");
-        assert_eq!(ra, rb, "regression counters diverged");
-        assert_eq!(ra, 0, "no push ever lands behind the clock");
-    }
-}
-
 /// Repeated parallel sweeps of the same points agree with each other
 /// (schedule-independence: results cannot depend on worker interleaving).
 #[test]

@@ -8,8 +8,11 @@
 //! EXPERIMENTS.md.
 
 use ioctopus::config::Placement;
-use ioctopus::experiments::{memcached, nvme_fio, tcp_stream};
-use ioctopus::results::ThroughputResult;
+use ioctopus::experiments::tcp_rr::RrConfig;
+use ioctopus::experiments::{
+    chaos, congestion, failover, memcached, nvme_fio, reconfig, tcp_rr, tcp_stream,
+};
+use ioctopus::results::{LatencyResult, PfSample, ThroughputResult};
 
 /// `(throughput_gbps, membw_gbps)` as raw bits.
 fn bits(r: &ThroughputResult) -> (u64, u64) {
@@ -85,6 +88,146 @@ fn nvme_fio_outputs_are_pinned() {
             r.stream_bytes_per_sec,
             f64::from_bits(want.0),
             f64::from_bits(want.1)
+        );
+    }
+}
+
+/// `(mean_us, p90_us, p99_us)` as raw bits.
+fn latency_bits(r: &LatencyResult) -> [u64; 3] {
+    [r.mean_us, r.p90_us, r.p99_us].map(f64::to_bits)
+}
+
+/// FNV-1a over the raw bits of every sample of a per-PF timeline: one
+/// number that moves if any sample moves by one ulp.
+fn timeline_bits(samples: &[PfSample]) -> u64 {
+    samples
+        .iter()
+        .flat_map(|s| [s.t_secs, s.pf0_gbps, s.pf1_gbps])
+        .fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            (h ^ v.to_bits()).wrapping_mul(0x100_0000_01b3)
+        })
+}
+
+/// Figure 9's ping-pong with interrupt coalescing off: among the runs with
+/// the densest same-instant ties, where the queue's tie order shows first.
+#[test]
+fn tcp_rr_outputs_are_pinned() {
+    let points = [
+        (
+            "ll 64 B",
+            RrConfig::Ll,
+            64,
+            [0x40254e030c23fab1, 0x402554450268900c, 0x402554450268900c],
+        ),
+        (
+            "rr 4 KiB",
+            RrConfig::Rr,
+            4096,
+            [0x40357fb03e20ccff, 0x403586fa0d77b7c8, 0x403586fa0d77b7c8],
+        ),
+    ];
+    for (what, cfg, msg, want) in points {
+        let r = tcp_rr::run(cfg, msg, 20);
+        assert_eq!(latency_bits(&r), want, "rr {what}: got {r:?}");
+        assert_eq!(r.transactions, 36, "rr {what}");
+    }
+}
+
+/// Figure 12's remote ping-pong under 4 STREAM pairs: STREAM steps and
+/// ping-pong DMAs contend for the same interconnect and DRAM servers.
+#[test]
+fn fig12_remote_latency_is_pinned() {
+    let r = congestion::run_fig12(Placement::Remote, 4, 40);
+    assert_eq!(
+        latency_bits(&r),
+        [0x40823cf2b6f19935, 0x408236d1904b3c3e, 0x40838f0fdb8fde2f],
+        "fig12 remote: got {r:?}"
+    );
+    assert_eq!(r.transactions, 56);
+}
+
+/// The PF outage timeline: fault, watchdog and sample events interleave
+/// with the stream at 50 µs ticks.
+#[test]
+fn failover_timeline_is_pinned() {
+    let r = failover::run(true);
+    assert_eq!(
+        (
+            r.resteered_flows,
+            r.error_completions,
+            r.dropped_pf_dead,
+            r.watchdog_recoveries,
+            r.consumed,
+        ),
+        (1, 0, 0, 0, 27_650_516)
+    );
+    assert_eq!(r.samples.len(), 199);
+    assert_eq!(timeline_bits(&r.samples), 0x13738819dc776865);
+}
+
+/// The surprise-removal → re-enumeration cycle: counters, the transition
+/// latencies and ratios, and every sample.
+#[test]
+fn reconfig_cycle_is_pinned() {
+    let r = reconfig::run();
+    assert_eq!(
+        (
+            r.fenced_completions,
+            r.fenced_irqs,
+            r.reconfigs,
+            r.nudma_entries,
+            r.nudma_exits,
+            r.dropped_pf_dead,
+            r.resteered_flows,
+            r.consumed,
+        ),
+        (0, 0, 2, 1, 1, 0, 1, 27_650_516)
+    );
+    assert_eq!(
+        [
+            r.remove_to_survivor_us,
+            r.readd_to_home_us,
+            r.degraded_ratio,
+            r.recovered_ratio,
+        ]
+        .map(f64::to_bits),
+        [
+            0x4048ffffffffffe7,
+            0x4048ffffffffffe7,
+            0x3ff6f8091a2b3c47,
+            0x3fefeaaa3d70a3d9,
+        ]
+    );
+    assert_eq!(r.samples.len(), 199);
+    assert_eq!(timeline_bits(&r.samples), 0x8ae6643252523814);
+}
+
+/// Chaos schedules under the periodic audit: fault bursts, zero-gap flaps
+/// and retry timers that land at the current instant. The hotplug ones
+/// reconfigure twice and fence stale deliveries. Audit check counts are
+/// left out: they count the audit's predicates, not the run.
+#[test]
+fn chaos_schedules_are_pinned() {
+    let base = chaos::base_config(7);
+    let hotplug = chaos::hotplug_config(7);
+    // (config, index, (events, recoveries, fenced, reconfigs))
+    let points = [
+        (&base, 0, (19_140, 0, 0, 0)),
+        (&base, 1, (3_187, 1, 0, 0)),
+        (&base, 2, (13_864, 1, 0, 0)),
+        (&base, 3, (46, 2, 0, 0)),
+        (&hotplug, 4, (11_377, 2, 14, 2)),
+        (&hotplug, 5, (3_181, 3, 2, 2)),
+        (&hotplug, 14, (13_893, 2, 9, 2)),
+    ];
+    for (cfg, i, want) in points {
+        let r = chaos::run_schedule(cfg, i);
+        assert!(r.violations.is_empty(), "schedule {i}: {:?}", r.violations);
+        assert_eq!(
+            (r.events, r.recoveries, r.fenced, r.reconfigs),
+            want,
+            "{:?} schedule {i}",
+            r.family
         );
     }
 }
