@@ -72,20 +72,6 @@ impl LlcConfig {
     }
 }
 
-/// Result of inserting a line: what, if anything, was evicted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Evicted<V = u64> {
-    /// No eviction was necessary.
-    None,
-    /// A clean line was dropped.
-    Clean,
-    /// A dirty line was evicted and must be written back to its home. The
-    /// public calls name it by line (`line * 64` is its byte address); the
-    /// set-indexed calls inside the crate name it by its 32-bit tag, which
-    /// holds its home.
-    Dirty(V),
-}
-
 /// A single socket's last-level cache.
 ///
 /// Storage is a flat slab of 8-byte way slots, `cfg.ways` consecutive
@@ -111,12 +97,18 @@ pub enum Evicted<V = u64> {
 ///   restamp rewrites each set's stamps as their ranks and restarts the
 ///   counter above every rank, and every later LRU decision is the one an
 ///   unbounded counter would make.
-/// * Each operation searches the resident tags first and looks for an LRU
+/// * The two walks that change what is resident are loops of their own,
+///   `cpu_walk` and `ddio_fill`. Each copies the stamp counter, its
+///   home's resident-line count and its home's dirty-victim count into
+///   locals (`cpu_walk` also the way hint and its hit and miss counts)
+///   and writes them back once, when it ends.
+/// * Each line searches the resident tags first and looks for an LRU
 ///   victim only on a miss that fills — and for the DDIO partition's
-///   victim only on a DDIO fill. A CPU probe that misses returns its fill
-///   slot, so the fill that follows does not scan again. A CPU probe first
-///   tries the way offset of the previous CPU hit (`hint`): consecutive
-///   lines of a walk sit at the same offset of consecutive sets.
+///   victim only on a DDIO fill. The victim searches take the minimum
+///   metadata word with selects, not a branch per comparison. A CPU line
+///   first tries the way offset of the previous CPU hit (`hint`):
+///   consecutive lines of a walk sit at the same offset of consecutive
+///   sets.
 /// * The slab is zero-initialized primitive arrays: `vec![0; n]` takes the
 ///   zeroed-page allocation path, so construction costs five allocator
 ///   calls regardless of geometry, and no slot is ever allocated lazily
@@ -128,8 +120,8 @@ pub enum Evicted<V = u64> {
 /// * `home_lines` counts the resident lines of each home node exactly, so
 ///   a snoop or invalidation walk can skip a cache that holds no line of
 ///   the access's home without scanning a set (`holds_home`). Only
-///   `fill`, `invalidate_at` and [`flush_all`](Self::flush_all) change
-///   which lines are resident, and they alone change the counts.
+///   `fill_slot`, `invalidate_at` and [`flush_all`](Self::flush_all)
+///   change which lines are resident, and they alone change the counts.
 #[derive(Debug, Clone)]
 pub struct Llc {
     cfg: LlcConfig,
@@ -151,6 +143,18 @@ pub struct Llc {
     hint: usize,
     hits: u64,
     misses: u64,
+}
+
+/// The counters a walk holds in locals while it runs.
+struct WalkCounters {
+    /// Home node of every line of the walk.
+    home: usize,
+    /// The LLC's stamp counter.
+    tick: u32,
+    /// The LLC's resident-line count for `home`.
+    resident: u32,
+    /// Dirty lines of `home` to write back.
+    dirty: u64,
 }
 
 impl Llc {
@@ -240,14 +244,8 @@ impl Llc {
         )
     }
 
-    /// The line that `tag` names in `set`.
-    fn line_of(&self, tag: u32, set: usize) -> u64 {
-        let rel = u64::from(tag & ((1 << REL_BITS) - 1));
-        (self.bases[Self::home_of(tag)] + rel) * self.n_sets as u64 + set as u64
-    }
-
     /// Index into `home_lines` of the home of the line tagged `tag`.
-    pub(crate) fn home_of(tag: u32) -> usize {
+    fn home_of(tag: u32) -> usize {
         (tag >> REL_BITS) as usize
     }
 
@@ -273,32 +271,14 @@ impl Llc {
         }
     }
 
-    fn flags(state: LineState, ddio: bool) -> u32 {
-        let dirty = if state == LineState::Modified {
-            DIRTY
-        } else {
-            0
-        };
-        dirty | if ddio { DDIO } else { 0 }
-    }
-
-    /// A fresh recency stamp, shifted into place: above every stamp
-    /// resident in any set.
-    fn next_stamp(&mut self) -> u32 {
-        self.tick += 1;
-        if self.tick == STAMP_END {
-            self.restamp();
-        }
-        self.tick << STAMP_SHIFT
-    }
-
     /// Rewrites each set's stamps as their ranks in the set's recency
-    /// order (0 for its LRU line) and restarts the counter above every
-    /// rank. Stamps are only compared within a set, so every later victim
-    /// is the one an unbounded counter would pick. Stamps are unique within
-    /// a set, so comparing whole metadata words ranks them.
+    /// order (0 for its LRU line) and returns the stamp counter to restart
+    /// from, above every rank. Stamps are only compared within a set, so
+    /// every later victim is the one an unbounded counter would pick.
+    /// Stamps are unique within a set, so comparing whole metadata words
+    /// ranks them.
     #[cold]
-    fn restamp(&mut self) {
+    fn restamp(&mut self) -> u32 {
         let mut ranks = [0u32; u8::MAX as usize];
         for set in 0..self.n_sets {
             let start = set * self.cfg.ways;
@@ -311,14 +291,19 @@ impl Llc {
                 *m = *m & (DIRTY | DDIO) | rank << STAMP_SHIFT;
             }
         }
-        self.tick = self.cfg.ways as u32;
+        self.cfg.ways as u32
     }
 
-    /// Restamps resident `slot` with `flags` at a fresh stamp. A dirty bit
-    /// sticks: a Modified line never silently becomes Shared.
-    fn touch(&mut self, slot: usize, flags: u32) {
-        let stamp = self.next_stamp();
-        self.meta[slot] = flags | (self.meta[slot] & DIRTY) | stamp;
+    /// A fresh recency stamp from a walk's copy of the stamp counter,
+    /// shifted into place: above every stamp resident in any set. When the
+    /// counter runs out, every set is restamped and the copy restarts.
+    #[inline(always)]
+    fn stamp(&mut self, tick: &mut u32) -> u32 {
+        *tick += 1;
+        if *tick == STAMP_END {
+            *tick = self.restamp();
+        }
+        *tick << STAMP_SHIFT
     }
 
     /// Where a non-DDIO fill of a missing line goes: the first free slot of
@@ -331,128 +316,201 @@ impl Llc {
         if len < self.cfg.ways {
             return start + len;
         }
-        let mut lru = start;
-        for i in start + 1..start + len {
-            if self.meta[i] < self.meta[lru] {
-                lru = i;
-            }
+        let metas = &self.meta[start..start + len];
+        let (mut lru, mut oldest) = (0, metas[0]);
+        for (i, &m) in metas.iter().enumerate().skip(1) {
+            let older = m < oldest;
+            oldest = if older { m } else { oldest };
+            lru = if older { i } else { lru };
         }
-        lru
+        start + lru
     }
 
     /// Where a DDIO fill of a missing line goes: the LRU line of the DDIO
     /// partition once it holds `ddio_ways` lines, else where any other
-    /// fill would go.
+    /// fill would go. One pass counts the partition and finds its LRU
+    /// line: a line outside it is keyed above every metadata word, and
+    /// `0xFFFF_FFFF` is one, so the keys are 64-bit.
     fn ddio_victim(&self, set: usize) -> usize {
         let start = set * self.cfg.ways;
-        let mut ddio_resident = 0;
-        let mut ddio_lru: Option<usize> = None;
-        for i in start..start + self.lens[set] as usize {
-            if self.meta[i] & DDIO != 0 {
-                ddio_resident += 1;
-                if ddio_lru.is_none_or(|b| self.meta[i] < self.meta[b]) {
-                    ddio_lru = Some(i);
-                }
-            }
+        let metas = &self.meta[start..start + self.lens[set] as usize];
+        let (mut partition, mut lru, mut oldest) = (0, 0, u64::MAX);
+        for (i, &m) in metas.iter().enumerate() {
+            let ddio = m & DDIO != 0;
+            partition += usize::from(ddio);
+            let key = u64::from(!ddio) << u32::BITS | u64::from(m);
+            let older = key < oldest;
+            oldest = if older { key } else { oldest };
+            lru = if older { i } else { lru };
         }
-        if ddio_resident >= self.cfg.ddio_ways {
-            ddio_lru.expect("partition is non-empty when full")
+        if partition >= self.cfg.ddio_ways {
+            debug_assert!(partition > 0, "partition is non-empty when full");
+            start + lru
         } else {
             self.victim(set)
         }
     }
 
-    /// Puts the line tagged `tag` into `slot` of `set` at a fresh stamp,
-    /// evicting the slot's line if it is resident. The slot comes from
-    /// [`probe_at`](Self::probe_at) for a CPU miss.
-    ///
-    /// Inlined into the walks: as a call of its own, the cold restamp
-    /// path made every fill save and restore six registers, which shows
-    /// on DDIO walks that fill on every line.
+    /// The counters of a walk over the lines from `first`, loaded from
+    /// this LLC.
+    fn begin_walk(&self, first: u64) -> WalkCounters {
+        let home = (first >> HOME_LINE_SHIFT) as usize;
+        WalkCounters {
+            home,
+            tick: self.tick,
+            resident: self.home_lines[home],
+            dirty: 0,
+        }
+    }
+
+    /// Writes a finished walk's counters back; its dirty victims join
+    /// `writebacks`.
+    fn end_walk(&mut self, c: WalkCounters, writebacks: &mut [u64]) {
+        self.tick = c.tick;
+        self.home_lines[c.home] = c.resident;
+        writebacks[c.home] += c.dirty;
+    }
+
+    /// Puts the line tagged `tag` into `slot` of `set` with metadata `meta`
+    /// (flags and a fresh stamp), evicting the slot's line if it is
+    /// resident. An evicted line of the walk's home is counted in `c`; one
+    /// of another home updates that home's count and `writebacks` at once.
     #[inline(always)]
-    pub(crate) fn fill(
+    fn fill_slot(
         &mut self,
+        c: &mut WalkCounters,
         set: usize,
         slot: usize,
         tag: u32,
-        state: LineState,
-        ddio: bool,
-    ) -> Evicted<u32> {
-        let stamp = self.next_stamp();
-        let evicted = if slot < set * self.cfg.ways + self.lens[set] as usize {
-            let old = self.tags[slot];
-            self.home_lines[Self::home_of(old)] -= 1;
-            if self.meta[slot] & DIRTY != 0 {
-                Evicted::Dirty(old)
+        meta: u32,
+        writebacks: &mut [u64],
+    ) {
+        if slot < set * self.cfg.ways + self.lens[set] as usize {
+            let old = Self::home_of(self.tags[slot]);
+            let dirty = u64::from(self.meta[slot] & DIRTY);
+            if old == c.home {
+                c.resident -= 1;
+                c.dirty += dirty;
             } else {
-                Evicted::Clean
+                self.home_lines[old] -= 1;
+                writebacks[old] += dirty;
             }
         } else {
             self.lens[set] += 1;
-            Evicted::None
-        };
-        self.home_lines[Self::home_of(tag)] += 1;
+        }
+        c.resident += 1;
         self.tags[slot] = tag;
-        self.meta[slot] = Self::flags(state, ddio) | stamp;
-        evicted
+        self.meta[slot] = meta;
     }
 
-    /// CPU lookup of the line tagged `tag` in `set`, counted as a hit or a
-    /// miss. `Ok(slot)` on a hit (recency updated); on a miss, `Err(slot)`
-    /// is where a non-DDIO [`fill`](Self::fill) puts it. The way offset of
-    /// the previous hit is tried first: a resident slot there with this
-    /// tag is the one the scan would find, since tags are unique in a set.
-    pub(crate) fn probe_at(&mut self, set: usize, tag: u32) -> Result<usize, usize> {
-        let start = set * self.cfg.ways;
-        let hinted = start + self.hint;
-        let found = if self.hint < self.lens[set] as usize && self.tags[hinted] == tag {
-            Some(hinted)
-        } else {
-            self.slot_of(set, tag)
-        };
-        match found {
-            Some(slot) => {
-                self.hint = slot - start;
-                self.hits += 1;
-                self.touch(slot, self.meta[slot] & DDIO);
-                Ok(slot)
-            }
-            None => {
-                self.misses += 1;
-                Err(self.victim(set))
-            }
-        }
-    }
-
-    /// Upgrades the line a CPU write hit at `slot` to `Modified`; it then
-    /// belongs to the CPU, not to the DDIO partition.
-    pub(crate) fn upgrade_cpu(&mut self, slot: usize) {
-        self.touch(slot, DIRTY);
-    }
-
-    /// Inserts (or upgrades) the line tagged `tag` in `set` at a fresh
-    /// stamp. `ddio` confines a fill to the DDIO way partition.
-    pub(crate) fn insert_at(
+    /// A CPU of this LLC's socket reads (or, with `write`, writes) the
+    /// `lines` lines from `first`, all of one home; `before` and `after`
+    /// are the machine's other LLCs, in node order around this one.
+    /// Returns the `(hit, miss, c2c)` line counts: lines found here, lines
+    /// served from home memory, and lines forwarded from a peer's dirty
+    /// copy. Dirty lines to write back are added to `writebacks` by home.
+    ///
+    /// A hit takes a fresh stamp; a write hit takes a second one as the
+    /// line becomes `Modified` and leaves the DDIO partition, and every
+    /// peer that holds a line of the home drops its copy. A miss picks its
+    /// victim, then snoops each such peer in node order: a write drops the
+    /// peer's copy and a read downgrades it. A `Modified` copy is the only
+    /// one (single-writer invariant), so it is forwarded cache to cache
+    /// with an implicit writeback to home and the snoop stops there. The
+    /// line then fills the victim's slot.
+    pub(crate) fn cpu_walk(
         &mut self,
-        set: usize,
-        tag: u32,
-        state: LineState,
-        ddio: bool,
-    ) -> Evicted<u32> {
-        match self.slot_of(set, tag) {
-            Some(slot) => {
-                self.touch(slot, Self::flags(state, ddio));
-                Evicted::None
+        before: &mut [Llc],
+        after: &mut [Llc],
+        first: u64,
+        lines: u64,
+        write: bool,
+        writebacks: &mut [u64],
+    ) -> (u64, u64, u64) {
+        let mut c = self.begin_walk(first);
+        let home = c.home;
+        let mut hint = self.hint;
+        let (mut hit, mut miss, mut c2c) = (0, 0, 0);
+        let flags = if write { DIRTY } else { 0 };
+        for (tag, set) in self.walk(first, lines) {
+            let start = set * self.cfg.ways;
+            // A resident slot at the hinted offset with this tag is the one
+            // the scan would find, since tags are unique in a set.
+            let found = if hint < self.lens[set] as usize && self.tags[start + hint] == tag {
+                Some(start + hint)
+            } else {
+                self.slot_of(set, tag)
+            };
+            if let Some(slot) = found {
+                hint = slot - start;
+                hit += 1;
+                let stamp = self.stamp(&mut c.tick);
+                self.meta[slot] = self.meta[slot] & (DIRTY | DDIO) | stamp;
+                if write {
+                    // The touch above is stored even so: a restamp at this
+                    // stamp ranks the line by it.
+                    let stamp = self.stamp(&mut c.tick);
+                    self.meta[slot] = DIRTY | stamp;
+                    for peer in before.iter_mut().chain(after.iter_mut()) {
+                        if peer.home_lines[home] != 0 {
+                            peer.invalidate_at(set, tag);
+                        }
+                    }
+                }
+                continue;
             }
-            None => {
-                let slot = if ddio {
-                    self.ddio_victim(set)
+            let slot = self.victim(set);
+            let mut forwarded = false;
+            for peer in before.iter_mut().chain(after.iter_mut()) {
+                if peer.home_lines[home] == 0 {
+                    continue;
+                }
+                let prior = if write {
+                    peer.invalidate_at(set, tag)
                 } else {
-                    self.victim(set)
+                    peer.downgrade_at(set, tag)
                 };
-                self.fill(set, slot, tag, state, ddio)
+                if prior == Some(LineState::Modified) {
+                    c.dirty += 1;
+                    forwarded = true;
+                    break;
+                }
+            }
+            if forwarded {
+                c2c += 1;
+            } else {
+                miss += 1;
+            }
+            let stamp = self.stamp(&mut c.tick);
+            self.fill_slot(&mut c, set, slot, tag, flags | stamp, writebacks);
+        }
+        self.hint = hint;
+        self.hits += hit;
+        self.misses += miss + c2c;
+        self.end_walk(c, writebacks);
+        (hit, miss, c2c)
+    }
+
+    /// A device DMA-writes the `lines` lines from `first`, all of one home,
+    /// into this LLC's DDIO ways: a resident line takes a fresh stamp and
+    /// becomes `Modified` and DDIO; a missing one fills the partition's
+    /// victim slot as such. Dirty victims are added to `writebacks` by home.
+    pub(crate) fn ddio_fill(&mut self, first: u64, lines: u64, writebacks: &mut [u64]) {
+        let mut c = self.begin_walk(first);
+        for (tag, set) in self.walk(first, lines) {
+            match self.slot_of(set, tag) {
+                Some(slot) => {
+                    let stamp = self.stamp(&mut c.tick);
+                    self.meta[slot] = DIRTY | DDIO | stamp;
+                }
+                None => {
+                    let slot = self.ddio_victim(set);
+                    let stamp = self.stamp(&mut c.tick);
+                    self.fill_slot(&mut c, set, slot, tag, DIRTY | DDIO | stamp, writebacks);
+                }
             }
         }
+        self.end_walk(c, writebacks);
     }
 
     /// State of the line tagged `tag` in `set`, without touching recency or
@@ -477,19 +535,11 @@ impl Llc {
 
     /// Downgrades the line tagged `tag` in `set` to `Shared`, returning the
     /// state it had.
-    pub(crate) fn downgrade_at(&mut self, set: usize, tag: u32) -> Option<LineState> {
+    fn downgrade_at(&mut self, set: usize, tag: u32) -> Option<LineState> {
         let slot = self.slot_of(set, tag)?;
         let state = Self::state_of(self.meta[slot]);
         self.meta[slot] &= !DIRTY;
         Some(state)
-    }
-
-    /// Looks up the line containing `addr`; returns its state on hit.
-    /// Updates recency and hit/miss statistics.
-    pub fn probe(&mut self, addr: PhysAddr) -> Option<LineState> {
-        let (tag, set) = self.locate(addr.line());
-        let slot = self.probe_at(set, tag).ok()?;
-        Some(Self::state_of(self.meta[slot]))
     }
 
     /// Looks up without disturbing recency or statistics (snoop from another
@@ -497,35 +547,6 @@ impl Llc {
     pub fn peek(&self, addr: PhysAddr) -> Option<LineState> {
         let (tag, set) = self.locate(addr.line());
         self.peek_at(set, tag)
-    }
-
-    /// Inserts (or upgrades) the line containing `addr`.
-    ///
-    /// `ddio` restricts replacement to the DDIO way-partition, mirroring how
-    /// device writes cannot occupy the whole cache. Returns eviction
-    /// information so the caller can account the writeback.
-    pub fn insert(&mut self, addr: PhysAddr, state: LineState, ddio: bool) -> Evicted {
-        let (tag, set) = self.locate(addr.line());
-        match self.insert_at(set, tag, state, ddio) {
-            Evicted::None => Evicted::None,
-            Evicted::Clean => Evicted::Clean,
-            Evicted::Dirty(victim) => Evicted::Dirty(self.line_of(victim, set)),
-        }
-    }
-
-    /// Removes the line containing `addr` if present, returning its state.
-    /// The caller decides whether a `Modified` line's contents matter (a full
-    /// DMA overwrite drops them; an eviction writes them back).
-    pub fn invalidate(&mut self, addr: PhysAddr) -> Option<LineState> {
-        let (tag, set) = self.locate(addr.line());
-        self.invalidate_at(set, tag)
-    }
-
-    /// Downgrades a `Modified` line to `Shared` (after a snoop writeback).
-    /// Returns `true` if the line was present.
-    pub fn downgrade(&mut self, addr: PhysAddr) -> bool {
-        let (tag, set) = self.locate(addr.line());
-        self.downgrade_at(set, tag).is_some()
     }
 
     /// Lifetime hit count.
@@ -557,16 +578,304 @@ mod tests {
     use crate::topology::NODE_SHIFT;
     use simcore::SimRng;
 
-    fn tiny() -> Llc {
-        // 4 sets x 4 ways x 64 B = 1 KiB, 2 DDIO ways.
+    /// What a line-at-a-time fill evicted.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Evicted {
+        /// No eviction was necessary.
+        None,
+        /// A clean line was dropped.
+        Clean,
+        /// A dirty line, named by its tag (which holds its home), must be
+        /// written back.
+        Dirty(u32),
+    }
+
+    /// The line-at-a-time oracle: one call per line and one stamp per
+    /// call, as `MemSystem` drove the cache before the walks became loops
+    /// of their own, with the victim searches of that time. The tests
+    /// below check the loops against it.
+    impl Llc {
+        /// A fresh recency stamp, shifted into place.
+        fn next_stamp(&mut self) -> u32 {
+            self.tick += 1;
+            if self.tick == STAMP_END {
+                self.tick = self.restamp();
+            }
+            self.tick << STAMP_SHIFT
+        }
+
+        /// Restamps resident `slot` with `flags` at a fresh stamp. A dirty
+        /// bit sticks.
+        fn touch(&mut self, slot: usize, flags: u32) {
+            let stamp = self.next_stamp();
+            self.meta[slot] = flags | (self.meta[slot] & DIRTY) | stamp;
+        }
+
+        fn flags(state: LineState, ddio: bool) -> u32 {
+            let dirty = if state == LineState::Modified {
+                DIRTY
+            } else {
+                0
+            };
+            dirty | if ddio { DDIO } else { 0 }
+        }
+
+        /// The line that `tag` names in `set`.
+        fn line_of(&self, tag: u32, set: usize) -> u64 {
+            let rel = u64::from(tag & ((1 << REL_BITS) - 1));
+            (self.bases[Self::home_of(tag)] + rel) * self.n_sets as u64 + set as u64
+        }
+
+        /// Puts the line tagged `tag` into `slot` of `set` at a fresh
+        /// stamp, evicting the slot's line if it is resident.
+        fn fill(
+            &mut self,
+            set: usize,
+            slot: usize,
+            tag: u32,
+            state: LineState,
+            ddio: bool,
+        ) -> Evicted {
+            let stamp = self.next_stamp();
+            let evicted = if slot < set * self.cfg.ways + self.lens[set] as usize {
+                let old = self.tags[slot];
+                self.home_lines[Self::home_of(old)] -= 1;
+                if self.meta[slot] & DIRTY != 0 {
+                    Evicted::Dirty(old)
+                } else {
+                    Evicted::Clean
+                }
+            } else {
+                self.lens[set] += 1;
+                Evicted::None
+            };
+            self.home_lines[Self::home_of(tag)] += 1;
+            self.tags[slot] = tag;
+            self.meta[slot] = Self::flags(state, ddio) | stamp;
+            evicted
+        }
+
+        /// `victim` with a branch per comparison.
+        fn victim_scan(&self, set: usize) -> usize {
+            let start = set * self.cfg.ways;
+            let len = self.lens[set] as usize;
+            if len < self.cfg.ways {
+                return start + len;
+            }
+            let mut lru = start;
+            for i in start + 1..start + len {
+                if self.meta[i] < self.meta[lru] {
+                    lru = i;
+                }
+            }
+            lru
+        }
+
+        /// `ddio_victim` with a branch per slot.
+        fn ddio_victim_scan(&self, set: usize) -> usize {
+            let start = set * self.cfg.ways;
+            let mut ddio_resident = 0;
+            let mut ddio_lru: Option<usize> = None;
+            for i in start..start + self.lens[set] as usize {
+                if self.meta[i] & DDIO != 0 {
+                    ddio_resident += 1;
+                    if ddio_lru.is_none_or(|b| self.meta[i] < self.meta[b]) {
+                        ddio_lru = Some(i);
+                    }
+                }
+            }
+            if ddio_resident >= self.cfg.ddio_ways {
+                ddio_lru.expect("partition is non-empty when full")
+            } else {
+                self.victim_scan(set)
+            }
+        }
+
+        /// CPU lookup, counted as a hit or a miss: `Ok(slot)` on a hit
+        /// (recency updated), else `Err(slot)` where a CPU fill puts it.
+        fn probe_at(&mut self, set: usize, tag: u32) -> Result<usize, usize> {
+            let start = set * self.cfg.ways;
+            let hinted = start + self.hint;
+            let found = if self.hint < self.lens[set] as usize && self.tags[hinted] == tag {
+                Some(hinted)
+            } else {
+                self.slot_of(set, tag)
+            };
+            match found {
+                Some(slot) => {
+                    self.hint = slot - start;
+                    self.hits += 1;
+                    self.touch(slot, self.meta[slot] & DDIO);
+                    Ok(slot)
+                }
+                None => {
+                    self.misses += 1;
+                    Err(self.victim_scan(set))
+                }
+            }
+        }
+
+        /// Upgrades a CPU write hit to `Modified`, out of the DDIO
+        /// partition.
+        fn upgrade_cpu(&mut self, slot: usize) {
+            self.touch(slot, DIRTY);
+        }
+
+        /// Inserts (or upgrades) the line tagged `tag` in `set` at a fresh
+        /// stamp; `ddio` confines a fill to the DDIO partition.
+        fn insert_at(&mut self, set: usize, tag: u32, state: LineState, ddio: bool) -> Evicted {
+            match self.slot_of(set, tag) {
+                Some(slot) => {
+                    self.touch(slot, Self::flags(state, ddio));
+                    Evicted::None
+                }
+                None => {
+                    let slot = if ddio {
+                        self.ddio_victim_scan(set)
+                    } else {
+                        self.victim_scan(set)
+                    };
+                    self.fill(set, slot, tag, state, ddio)
+                }
+            }
+        }
+
+        fn probe(&mut self, addr: PhysAddr) -> Option<LineState> {
+            let (tag, set) = self.locate(addr.line());
+            let slot = self.probe_at(set, tag).ok()?;
+            Some(Self::state_of(self.meta[slot]))
+        }
+
+        fn insert(&mut self, addr: PhysAddr, state: LineState, ddio: bool) -> Evicted {
+            let (tag, set) = self.locate(addr.line());
+            self.insert_at(set, tag, state, ddio)
+        }
+
+        fn invalidate(&mut self, addr: PhysAddr) -> Option<LineState> {
+            let (tag, set) = self.locate(addr.line());
+            self.invalidate_at(set, tag)
+        }
+
+        fn downgrade(&mut self, addr: PhysAddr) -> bool {
+            let (tag, set) = self.locate(addr.line());
+            self.downgrade_at(set, tag).is_some()
+        }
+    }
+
+    /// Asserts that two caches hold the same lines, stamps and counters.
+    fn assert_same(a: &Llc, b: &Llc, at: &str) {
+        assert_eq!(a.tags, b.tags, "{at}: tags");
+        assert_eq!(a.meta, b.meta, "{at}: meta");
+        assert_eq!(a.lens, b.lens, "{at}: lens");
+        assert_eq!(a.home_lines, b.home_lines, "{at}: home_lines");
+        assert_eq!(
+            (a.tick, a.hint, a.hits, a.misses),
+            (b.tick, b.hint, b.hits, b.misses),
+            "{at}: tick, hint, hits, misses"
+        );
+    }
+
+    /// The oracle of [`Llc::cpu_walk`]: `MemSystem::cpu_access`'s per-line
+    /// loop, with `llcs[node]` the initiator's LLC and each line located on
+    /// its own.
+    fn cpu_lines(
+        llcs: &mut [Llc],
+        node: usize,
+        first: u64,
+        lines: u64,
+        write: bool,
+        writebacks: &mut [u64],
+    ) -> (u64, u64, u64) {
+        let home = NodeId((first >> HOME_LINE_SHIFT) as usize);
+        let state = if write {
+            LineState::Modified
+        } else {
+            LineState::Shared
+        };
+        let (mut hit, mut miss, mut c2c) = (0, 0, 0);
+        for line in first..first + lines {
+            let (tag, set) = llcs[node].locate(line);
+            match llcs[node].probe_at(set, tag) {
+                Ok(slot) => {
+                    hit += 1;
+                    if write {
+                        llcs[node].upgrade_cpu(slot);
+                        for (peer, llc) in llcs.iter_mut().enumerate() {
+                            if peer != node && llc.holds_home(home) {
+                                llc.invalidate_at(set, tag);
+                            }
+                        }
+                    }
+                }
+                Err(slot) => {
+                    let mut served_c2c = false;
+                    for (peer, llc) in llcs.iter_mut().enumerate() {
+                        if peer == node || !llc.holds_home(home) {
+                            continue;
+                        }
+                        let prior = if write {
+                            llc.invalidate_at(set, tag)
+                        } else {
+                            llc.downgrade_at(set, tag)
+                        };
+                        if prior == Some(LineState::Modified) {
+                            writebacks[home.0] += 1;
+                            c2c += 1;
+                            served_c2c = true;
+                            break;
+                        }
+                    }
+                    if !served_c2c {
+                        miss += 1;
+                    }
+                    if let Evicted::Dirty(victim) = llcs[node].fill(set, slot, tag, state, false) {
+                        writebacks[Llc::home_of(victim)] += 1;
+                    }
+                }
+            }
+        }
+        (hit, miss, c2c)
+    }
+
+    /// The oracle of [`Llc::ddio_fill`]: `MemSystem::dma_write`'s DDIO
+    /// loop, each line located on its own.
+    fn ddio_lines(llc: &mut Llc, first: u64, lines: u64, writebacks: &mut [u64]) {
+        for line in first..first + lines {
+            let (tag, set) = llc.locate(line);
+            if let Evicted::Dirty(victim) = llc.insert_at(set, tag, LineState::Modified, true) {
+                writebacks[Llc::home_of(victim)] += 1;
+            }
+        }
+    }
+
+    /// `Llc::cpu_walk` by `llcs[node]`, its peers around it.
+    fn cpu_walk_from(
+        llcs: &mut [Llc],
+        node: usize,
+        first: u64,
+        lines: u64,
+        write: bool,
+        writebacks: &mut [u64],
+    ) -> (u64, u64, u64) {
+        let (before, rest) = llcs.split_at_mut(node);
+        let (llc, after) = rest.split_first_mut().expect("node has an LLC");
+        llc.cpu_walk(before, after, first, lines, write, writebacks)
+    }
+
+    /// A 4-set, 4-way LLC with 2 DDIO ways for a machine of `nodes` nodes.
+    fn tiny_of(nodes: usize) -> Llc {
         Llc::new(
             LlcConfig {
                 capacity_bytes: 1024,
                 ways: 4,
                 ddio_ways: 2,
             },
-            2,
+            nodes,
         )
+    }
+
+    fn tiny() -> Llc {
+        tiny_of(2)
     }
 
     fn addr_for_set(set: u64, tag_round: u64) -> PhysAddr {
@@ -613,7 +922,7 @@ mod tests {
             c.insert(addr_for_set(1, round), LineState::Modified, false);
         }
         match c.insert(addr_for_set(1, 7), LineState::Shared, false) {
-            Evicted::Dirty(line) => assert_eq!(line, addr_for_set(1, 0).line()),
+            Evicted::Dirty(tag) => assert_eq!(c.line_of(tag, 1), addr_for_set(1, 0).line()),
             other => panic!("expected dirty eviction, got {other:?}"),
         }
     }
@@ -727,28 +1036,29 @@ mod tests {
     #[test]
     fn prop_home_counts_match_resident_tags() {
         // Eight lines per set of `tiny` from each of two homes, so fills
-        // evict lines of either home.
+        // evict lines of either home; walks run up to eight lines on.
         let home1 = PhysAddr(1 << NODE_SHIFT).line();
         let mut r = SimRng::seed(0x5e00f);
+        let mut writebacks = [0; 2];
         for _ in 0..32 {
             let mut c = tiny();
             for _ in 0..300 {
                 let line = r.below(32) + if r.chance(0.5) { home1 } else { 0 };
                 let a = PhysAddr(line * LINE_BYTES);
-                let state = if r.chance(0.5) {
+                let write = r.chance(0.5);
+                let state = if write {
                     LineState::Modified
                 } else {
                     LineState::Shared
                 };
+                let lines = 1 + r.below(8);
                 match r.below(10) {
-                    0..=3 => {
+                    0..=1 => {
                         c.insert(a, state, r.chance(0.5));
                     }
+                    2..=3 => c.ddio_fill(line, lines, &mut writebacks),
                     4..=6 => {
-                        let (tag, set) = c.locate(line);
-                        if let Err(slot) = c.probe_at(set, tag) {
-                            c.fill(set, slot, tag, state, false);
-                        }
+                        c.cpu_walk(&mut [], &mut [], line, lines, write, &mut writebacks);
                     }
                     7 => {
                         c.invalidate(a);
@@ -792,18 +1102,20 @@ mod tests {
     /// The schedule of `prop_home_counts_match_resident_tags`, run on two
     /// copies of one cache. Every 50 steps `wrapped`'s stamp counter jumps
     /// to a few stamps below its limit, so it restamps about six times per
-    /// schedule while `plain` never does; every result must agree.
+    /// schedule, often in the middle of a walk, while `plain` never does;
+    /// every result must agree.
     #[test]
     fn restamp_keeps_every_lru_decision() {
         let home1 = PhysAddr(1 << NODE_SHIFT).line();
-        let universe: Vec<PhysAddr> = (0..32)
-            .chain(home1..home1 + 32)
+        let universe: Vec<PhysAddr> = (0..40)
+            .chain(home1..home1 + 40)
             .map(|line| PhysAddr(line * LINE_BYTES))
             .collect();
         let mut r = SimRng::seed(0x5e01f);
         for schedule in 0..32 {
             let mut plain = tiny();
             let mut wrapped = tiny();
+            let (mut plain_wb, mut wrapped_wb) = ([0; 2], [0; 2]);
             for step in 0..300 {
                 if step % 50 == 0 {
                     assert!(wrapped.tick < STAMP_END / 2, "the last jump restamped");
@@ -811,27 +1123,30 @@ mod tests {
                 }
                 let line = r.below(32) + if r.chance(0.5) { home1 } else { 0 };
                 let a = PhysAddr(line * LINE_BYTES);
-                let state = if r.chance(0.5) {
+                let write = r.chance(0.5);
+                let state = if write {
                     LineState::Modified
                 } else {
                     LineState::Shared
                 };
+                let lines = 1 + r.below(8);
                 let at = format!("schedule {schedule} step {step}");
                 match r.below(10) {
-                    0..=3 => {
+                    0..=1 => {
                         let ddio = r.chance(0.5);
                         let evicted = plain.insert(a, state, ddio);
                         assert_eq!(evicted, wrapped.insert(a, state, ddio), "{at}");
                     }
+                    2..=3 => {
+                        plain.ddio_fill(line, lines, &mut plain_wb);
+                        wrapped.ddio_fill(line, lines, &mut wrapped_wb);
+                    }
                     4..=6 => {
-                        let (tag, set) = plain.locate(line);
-                        let probed = plain.probe_at(set, tag);
-                        assert_eq!(probed, wrapped.probe_at(set, tag), "{at}");
-                        if let Err(slot) = probed {
-                            let evicted = plain.fill(set, slot, tag, state, false);
-                            let other = wrapped.fill(set, slot, tag, state, false);
-                            assert_eq!(evicted, other, "{at}");
-                        }
+                        let counts =
+                            plain.cpu_walk(&mut [], &mut [], line, lines, write, &mut plain_wb);
+                        let other =
+                            wrapped.cpu_walk(&mut [], &mut [], line, lines, write, &mut wrapped_wb);
+                        assert_eq!(counts, other, "{at}");
                     }
                     7 => assert_eq!(plain.invalidate(a), wrapped.invalidate(a), "{at}"),
                     8 => assert_eq!(plain.downgrade(a), wrapped.downgrade(a), "{at}"),
@@ -841,11 +1156,97 @@ mod tests {
                     }
                     _ => {}
                 }
+                assert_eq!(plain_wb, wrapped_wb, "{at}");
                 for &a in &universe {
                     assert_eq!(plain.peek(a), wrapped.peek(a), "{at}: {a}");
                 }
             }
         }
+    }
+
+    /// Random schedules of multi-line walks on the LLCs of a 2- and a
+    /// 4-node machine, run once through `cpu_walk` and `ddio_fill` and once,
+    /// line by line, through the oracle on a copy. After every walk both
+    /// copies must hold the same slots, stamps and counters, and the walk
+    /// must return the same counts and writebacks. Each home's first 32
+    /// lines share `tiny`'s four sets, so fills evict lines of other
+    /// homes; other nodes' reads and writes leave `Shared` and `Modified`
+    /// copies for the walks to snoop; and every 40 steps one LLC's stamp
+    /// counter jumps to a few stamps below its limit, so restamps fire in
+    /// the middle of walks.
+    #[test]
+    fn walks_match_the_line_at_a_time_oracle() {
+        let mut r = SimRng::seed(0x1007);
+        let (mut mid_walk_restamps, mut foreign_evictions, mut partition_fills) = (0, 0, 0);
+        for nodes in [2, 4] {
+            for schedule in 0..24 {
+                let mut walked: Vec<Llc> = (0..nodes).map(|_| tiny_of(nodes)).collect();
+                let mut oracle = walked.clone();
+                let (mut walked_wb, mut oracle_wb) = (vec![0; nodes], vec![0; nodes]);
+                for step in 0..200 {
+                    let at = format!("{nodes} nodes, schedule {schedule} step {step}");
+                    if step % 40 == 0 {
+                        let tick = STAMP_END - 1 - r.below(4) as u32;
+                        let node = r.below(nodes as u64) as usize;
+                        walked[node].tick = tick;
+                        oracle[node].tick = tick;
+                    }
+                    let home = r.below(nodes as u64);
+                    let lines = 1 + r.below(12);
+                    let first = (home << HOME_LINE_SHIFT) + r.below(33 - lines);
+                    // A DDIO write fills the home's LLC, as a device on
+                    // the home node does; a CPU walk runs on any node.
+                    let ddio = r.chance(0.25);
+                    let node = if ddio {
+                        home as usize
+                    } else {
+                        r.below(nodes as u64) as usize
+                    };
+                    let before = oracle[node].clone();
+                    if ddio {
+                        // The other LLCs' copies go first, as in `dma_write`.
+                        for llcs in [&mut walked, &mut oracle] {
+                            for (peer, llc) in llcs.iter_mut().enumerate() {
+                                if peer != node {
+                                    for (tag, set) in llc.walk(first, lines) {
+                                        llc.invalidate_at(set, tag);
+                                    }
+                                }
+                            }
+                        }
+                        walked[node].ddio_fill(first, lines, &mut walked_wb);
+                        ddio_lines(&mut oracle[node], first, lines, &mut oracle_wb);
+                        partition_fills +=
+                            usize::from(oracle[node].resident_lines() > before.resident_lines());
+                    } else {
+                        let write = r.chance(0.5);
+                        let counts =
+                            cpu_walk_from(&mut walked, node, first, lines, write, &mut walked_wb);
+                        let want =
+                            cpu_lines(&mut oracle, node, first, lines, write, &mut oracle_wb);
+                        assert_eq!(counts, want, "{at}: (hit, miss, c2c)");
+                    }
+                    let after = &oracle[node];
+                    // Stamps taken after a restamp in this walk.
+                    mid_walk_restamps +=
+                        usize::from(after.tick < before.tick && after.tick > after.cfg.ways as u32);
+                    foreign_evictions +=
+                        usize::from((0..nodes).any(|h| {
+                            h != home as usize && after.home_lines[h] < before.home_lines[h]
+                        }));
+                    for (w, o) in walked.iter().zip(&oracle) {
+                        assert_same(w, o, &at);
+                    }
+                    assert_eq!(walked_wb, oracle_wb, "{at}: writebacks");
+                }
+            }
+        }
+        assert!(mid_walk_restamps > 0, "no walk restamped");
+        assert!(foreign_evictions > 0, "no walk evicted another home's line");
+        assert!(
+            partition_fills > 0,
+            "no DDIO walk filled a partition with room"
+        );
     }
 
     #[test]

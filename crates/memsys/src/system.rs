@@ -21,7 +21,7 @@
 use simcore::{Dur, FxHashMap, Time};
 
 use crate::alloc::PhysAllocator;
-use crate::cache::{Evicted, LineState, Llc, LlcConfig};
+use crate::cache::{LineState, Llc, LlcConfig};
 use crate::counters::Counters;
 use crate::dram::{DramConfig, DramGroup};
 use crate::interconnect::{Interconnect, InterconnectConfig};
@@ -301,63 +301,16 @@ impl MemSystem {
         assert!(len <= 8 << 20, "single access too large: {len}");
         let home = addr.home();
         let lines = addr.lines_spanned(len);
-        let mut hit_lines = 0u64;
-        let mut miss_lines = 0u64;
-        let mut c2c_lines = 0u64;
-        let state = if write {
-            LineState::Modified
-        } else {
-            LineState::Shared
-        };
-
-        for (tag, set) in self.llcs[node.0].walk(addr.line(), lines) {
-            match self.llcs[node.0].probe_at(set, tag) {
-                Ok(slot) => {
-                    hit_lines += 1;
-                    if write {
-                        // Upgrade to Modified; peers drop their Shared copies.
-                        self.llcs[node.0].upgrade_cpu(slot);
-                        for peer in 0..self.llcs.len() {
-                            if peer != node.0 && self.llcs[peer].holds_home(home) {
-                                self.llcs[peer].invalidate_at(set, tag);
-                            }
-                        }
-                    }
-                }
-                Err(slot) => {
-                    // Snoop each peer that holds lines of `home` once: a
-                    // write drops its copy, a read downgrades it. A dirty
-                    // copy is a cache-to-cache transfer with an implicit
-                    // writeback to home; it is the only copy (single-writer
-                    // invariant), so the snoop stops there.
-                    let mut served_c2c = false;
-                    for peer in 0..self.llcs.len() {
-                        if peer == node.0 || !self.llcs[peer].holds_home(home) {
-                            continue;
-                        }
-                        let prior = if write {
-                            self.llcs[peer].invalidate_at(set, tag)
-                        } else {
-                            self.llcs[peer].downgrade_at(set, tag)
-                        };
-                        if prior == Some(LineState::Modified) {
-                            self.writebacks[home.0] += 1;
-                            c2c_lines += 1;
-                            served_c2c = true;
-                            break;
-                        }
-                    }
-                    if !served_c2c {
-                        miss_lines += 1;
-                    }
-                    if let Evicted::Dirty(victim) =
-                        self.llcs[node.0].fill(set, slot, tag, state, false)
-                    {
-                        self.writebacks[Llc::home_of(victim)] += 1;
-                    }
-                }
-            }
-        }
+        let (before, rest) = self.llcs.split_at_mut(node.0);
+        let (llc, after) = rest.split_first_mut().expect("the node has an LLC");
+        let (hit_lines, miss_lines, c2c_lines) = llc.cpu_walk(
+            before,
+            after,
+            addr.line(),
+            lines,
+            write,
+            &mut self.writebacks,
+        );
 
         // Bandwidth accounting. Writebacks flush first so the memoized
         // early-return below still performs them; this is order-equivalent to
@@ -602,13 +555,7 @@ impl MemSystem {
             // Peers first: the passes touch only peers and the fill only the
             // home LLC, so the order changes no state.
             self.invalidate_copies(addr.line(), lines, home, Some(home));
-            for (tag, set) in self.llcs[home.0].walk(addr.line(), lines) {
-                if let Evicted::Dirty(victim) =
-                    self.llcs[home.0].insert_at(set, tag, LineState::Modified, true)
-                {
-                    self.writebacks[Llc::home_of(victim)] += 1;
-                }
-            }
+            self.llcs[home.0].ddio_fill(addr.line(), lines, &mut self.writebacks);
             self.flush_writebacks(now, home);
             // The stall is pure in `lines` (no bandwidth server on this
             // path), so the memo needs no idleness gate.
@@ -721,7 +668,7 @@ impl MemSystem {
 
     /// The coherence state of the line containing `addr` in `node`'s LLC,
     /// if cached (diagnostics and invariant tests).
-    pub fn peek_line(&self, node: NodeId, addr: PhysAddr) -> Option<crate::cache::LineState> {
+    pub fn peek_line(&self, node: NodeId, addr: PhysAddr) -> Option<LineState> {
         self.llcs[node.0].peek(addr)
     }
 
