@@ -19,44 +19,14 @@
 
 use std::time::Instant;
 
+use bench::{json_strings, plan_json, repo_root, write_min_plan};
 use ioctopus::experiments::chaos;
-use ioctopus::perf;
-use simcore::campaign::{plan_for, shrink};
+use simcore::campaign::plan_for;
 use simcore::FaultPlan;
 
 /// Fixed campaign seed: CI reruns are bit-identical, and any violation is
 /// reproducible from `(SEED, index)` alone.
 const SEED: u64 = 0x10c7_0b05;
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn plan_json(plan: &FaultPlan) -> String {
-    let evs: Vec<String> = plan
-        .events()
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"at_ps\": {}, \"pf\": {}, \"kind\": \"{}\"}}",
-                e.at.as_ps(),
-                e.pf,
-                json_escape(&format!("{:?}", e.kind))
-            )
-        })
-        .collect();
-    format!("[{}]", evs.join(", "))
-}
-
-fn repo_root() -> std::path::PathBuf {
-    let mut root = std::env::current_dir().unwrap_or_default();
-    while !root.join("Cargo.lock").exists() {
-        if !root.pop() {
-            return std::env::current_dir().unwrap_or_default();
-        }
-    }
-    root
-}
 
 struct SelfTest {
     index: u64,
@@ -69,13 +39,14 @@ struct SelfTest {
 /// trips on it, and shrinks it to a minimal reproducer.
 fn sabotage_self_test() -> SelfTest {
     let cfg = chaos::sabotage_config(SEED);
+    let arm = kernel::Host::debug_break_recovery;
     let (plan, index) = (0..64)
         .map(|i| (plan_for(&cfg, i), i))
-        .find(|(p, _)| chaos::sabotaged_run_trips_audit(p))
+        .find(|(p, _)| chaos::sabotaged_run_trips_audit(p, arm))
         .expect("no generated schedule tripped the sabotaged audit");
-    let min = chaos::shrink_failing(&plan);
+    let min = chaos::shrink_failing(&plan, arm);
     assert!(
-        chaos::sabotaged_run_trips_audit(&min),
+        chaos::sabotaged_run_trips_audit(&min, arm),
         "minimized plan no longer reproduces"
     );
     assert!(
@@ -88,24 +59,6 @@ fn sabotage_self_test() -> SelfTest {
         original_events: plan.len(),
         min_events: min.len(),
         min_plan: min,
-    }
-}
-
-fn write_min_plan(kind: &str, seed: u64, index: u64, plan: &FaultPlan, violations: &[String]) {
-    let path = repo_root().join("CHAOS_MIN_PLAN.json");
-    let viol: Vec<String> = violations
-        .iter()
-        .map(|v| format!("\"{}\"", json_escape(v)))
-        .collect();
-    let j = format!(
-        "{{\n  \"kind\": \"{kind}\",\n  \"seed\": {seed},\n  \"schedule_index\": {index},\n  \
-         \"events\": {},\n  \"plan\": {},\n  \"violations\": [{}]\n}}\n",
-        plan.len(),
-        plan_json(plan),
-        viol.join(", ")
-    );
-    if std::fs::write(&path, j).is_ok() {
-        println!("[json] {}", path.display());
     }
 }
 
@@ -126,15 +79,10 @@ fn write_json(
             )
         })
         .collect();
-    let viol: Vec<String> = sum
-        .violations
-        .iter()
-        .map(|v| format!("\"{}\"", json_escape(v)))
-        .collect();
     let j = format!(
         "{{\n  \"smoke\": {smoke},\n  \"seed\": {},\n  \"schedules\": {},\n  \"faults\": {},\n  \
          \"events\": {},\n  \"checks\": {},\n  \"recoveries\": {},\n  \"wall_s\": {:.3},\n  \
-         \"violations\": [{}],\n  \"families\": [\n{}\n  ],\n  \"sabotage_self_test\": \
+         \"violations\": {},\n  \"families\": [\n{}\n  ],\n  \"sabotage_self_test\": \
          {{\"caught\": true, \"schedule_index\": {}, \"original_events\": {}, \
          \"min_events\": {}, \"min_plan\": {}}}\n}}\n",
         sum.seed,
@@ -144,7 +92,7 @@ fn write_json(
         sum.checks,
         sum.recoveries,
         wall_s,
-        viol.join(", "),
+        json_strings(&sum.violations),
         fams.join(",\n"),
         st.index,
         st.original_events,
@@ -202,30 +150,7 @@ fn main() {
 
     // A real violation: minimize the first offending schedule before
     // failing, so CI uploads an actionable reproducer.
-    if let Some(bad) = reports.iter().find(|r| !r.violations.is_empty()) {
-        println!(
-            "\nVIOLATIONS (first schedule = {:?}[{}]):",
-            bad.family, bad.index
-        );
-        for v in &sum.violations {
-            println!("  {v}");
-        }
-        let cfg = chaos::base_config(SEED);
-        let plan = plan_for(&cfg, bad.index);
-        let min = shrink(&plan, |p| {
-            !chaos::run_plan(bad.family, bad.index, p)
-                .violations
-                .is_empty()
-        });
-        let min_report = chaos::run_plan(bad.family, bad.index, &min);
-        println!(
-            "minimized {} -> {} events; reproduce with seed {SEED:#x}, index {}",
-            plan.len(),
-            min.len(),
-            bad.index
-        );
-        write_min_plan("violation", SEED, bad.index, &min, &min_report.violations);
-    }
+    bench::minimize_first_violation("violation", &chaos::base_config(SEED), &reports, &sum);
 
     // Always prove the audit catches a genuinely broken recovery path and
     // that the shrinker isolates it.
@@ -239,7 +164,6 @@ fn main() {
     }
 
     write_json(smoke, &sum, &per_family, &st, t0.elapsed().as_secs_f64());
-    let _ = perf::events(); // footer drains the counters
     bench::footer(t0);
     assert!(
         sum.ok(),

@@ -25,6 +25,7 @@ use simcore::alloc_count::{allocation_count, CountingAlloc};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+use bench::{json_escape, repo_root};
 use ioctopus::config::Placement;
 use ioctopus::experiments::tcp_rr::RrConfig;
 use ioctopus::experiments::{congestion, nvme_fio, pktgen, tcp_rr, tcp_stream};
@@ -177,10 +178,6 @@ fn with_threads<R>(threads: Option<usize>, f: impl FnOnce() -> R) -> R {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Pulls a `"key": <number>` value out of a flat JSON document. Enough
 /// parser for our own `BENCH_2.json`; avoids a serde dependency.
 fn json_number(doc: &str, key: &str) -> Option<f64> {
@@ -264,14 +261,7 @@ fn check_against_baseline(rows: &[Row], smoke: bool, path: &str) {
 }
 
 fn write_json(rows: &[Row], smoke: bool, threads: usize) -> Option<std::path::PathBuf> {
-    let mut root = std::env::current_dir().ok()?;
-    while !root.join("Cargo.lock").exists() {
-        if !root.pop() {
-            root = std::env::current_dir().ok()?;
-            break;
-        }
-    }
-    let path = root.join("BENCH_2.json");
+    let path = repo_root().join("BENCH_2.json");
     let mut j = String::from("{\n");
     j.push_str(&format!("  \"smoke\": {smoke},\n"));
     j.push_str(&format!("  \"threads\": {threads},\n"));

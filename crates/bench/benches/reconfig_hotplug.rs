@@ -18,64 +18,13 @@
 
 use std::time::Instant;
 
+use bench::{json_strings, repo_root};
 use ioctopus::experiments::{chaos, reconfig};
-use ioctopus::perf;
-use simcore::campaign::{plan_for, shrink};
-use simcore::FaultPlan;
 
 /// Fixed campaign seed: CI reruns are bit-identical, and any violation is
 /// reproducible from `(SEED, index)` alone. Distinct from the `chaos`
 /// harness's seed so the two campaigns explore different schedules.
 const SEED: u64 = 0x10c7_0b09;
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn plan_json(plan: &FaultPlan) -> String {
-    let evs: Vec<String> = plan
-        .events()
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"at_ps\": {}, \"pf\": {}, \"kind\": \"{}\"}}",
-                e.at.as_ps(),
-                e.pf,
-                json_escape(&format!("{:?}", e.kind))
-            )
-        })
-        .collect();
-    format!("[{}]", evs.join(", "))
-}
-
-fn repo_root() -> std::path::PathBuf {
-    let mut root = std::env::current_dir().unwrap_or_default();
-    while !root.join("Cargo.lock").exists() {
-        if !root.pop() {
-            return std::env::current_dir().unwrap_or_default();
-        }
-    }
-    root
-}
-
-fn write_min_plan(seed: u64, index: u64, plan: &FaultPlan, violations: &[String]) {
-    let path = repo_root().join("CHAOS_MIN_PLAN.json");
-    let viol: Vec<String> = violations
-        .iter()
-        .map(|v| format!("\"{}\"", json_escape(v)))
-        .collect();
-    let j = format!(
-        "{{\n  \"kind\": \"hotplug-violation\",\n  \"seed\": {seed},\n  \
-         \"schedule_index\": {index},\n  \"events\": {},\n  \"plan\": {},\n  \
-         \"violations\": [{}]\n}}\n",
-        plan.len(),
-        plan_json(plan),
-        viol.join(", ")
-    );
-    if std::fs::write(&path, j).is_ok() {
-        println!("[json] {}", path.display());
-    }
-}
 
 fn write_json(
     smoke: bool,
@@ -84,11 +33,6 @@ fn write_json(
     wall_s: f64,
 ) {
     let path = repo_root().join("BENCH_9.json");
-    let viol: Vec<String> = sum
-        .violations
-        .iter()
-        .map(|v| format!("\"{}\"", json_escape(v)))
-        .collect();
     let j = format!(
         "{{\n  \"smoke\": {smoke},\n  \"reconfig\": {{\n    \
          \"remove_to_survivor_us\": {:.1},\n    \"readd_to_home_us\": {:.1},\n    \
@@ -99,7 +43,7 @@ fn write_json(
          \"campaign\": {{\n    \"seed\": {},\n    \"schedules\": {},\n    \
          \"faults\": {},\n    \"events\": {},\n    \"checks\": {},\n    \
          \"recoveries\": {},\n    \"fenced\": {},\n    \"reconfigs\": {},\n    \
-         \"violations\": [{}]\n  }},\n  \"wall_s\": {:.3}\n}}\n",
+         \"violations\": {}\n  }},\n  \"wall_s\": {:.3}\n}}\n",
         r.remove_to_survivor_us,
         r.readd_to_home_us,
         r.degraded_ratio,
@@ -119,7 +63,7 @@ fn write_json(
         sum.recoveries,
         sum.fenced,
         sum.reconfigs,
-        viol.join(", "),
+        json_strings(&sum.violations),
         wall_s,
     );
     if std::fs::write(&path, j).is_ok() {
@@ -169,7 +113,8 @@ fn main() {
     );
 
     // ---- stress: the topology-churn campaign under the invariant audit ----
-    let reports = chaos::run_reports_with(&chaos::hotplug_config(SEED), count);
+    let cfg = chaos::hotplug_config(SEED);
+    let reports = chaos::run_reports_with(&cfg, count);
     let sum = chaos::aggregate(SEED, &reports);
     println!(
         "\ncampaign: {} schedules, {} faults, {} checks, {} reconfigs, \
@@ -182,33 +127,9 @@ fn main() {
         sum.violations.len()
     );
 
-    if let Some(bad) = reports.iter().find(|x| !x.violations.is_empty()) {
-        println!(
-            "\nVIOLATIONS (first schedule = {:?}[{}]):",
-            bad.family, bad.index
-        );
-        for v in &sum.violations {
-            println!("  {v}");
-        }
-        let cfg = chaos::hotplug_config(SEED);
-        let plan = plan_for(&cfg, bad.index);
-        let min = shrink(&plan, |p| {
-            !chaos::run_plan(bad.family, bad.index, p)
-                .violations
-                .is_empty()
-        });
-        let min_report = chaos::run_plan(bad.family, bad.index, &min);
-        println!(
-            "minimized {} -> {} events; reproduce with seed {SEED:#x}, index {}",
-            plan.len(),
-            min.len(),
-            bad.index
-        );
-        write_min_plan(SEED, bad.index, &min, &min_report.violations);
-    }
+    bench::minimize_first_violation("hotplug-violation", &cfg, &reports, &sum);
 
     write_json(smoke, &r, &sum, t0.elapsed().as_secs_f64());
-    let _ = perf::events(); // footer drains the counters
     bench::footer(t0);
     assert!(
         sum.ok(),

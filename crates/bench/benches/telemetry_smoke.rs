@@ -80,8 +80,7 @@ fn main() {
         }
     }
 
-    // The metric snapshot is the same registry the perf footer drains;
-    // spot-check a few rows every run must produce.
+    // Spot-check a few metric-snapshot rows every run must produce.
     let m = &telem.metrics;
     for key in [
         "nic.tx.bytes",

@@ -8,7 +8,12 @@
 
 #![warn(missing_docs)]
 
+use std::path::PathBuf;
 use std::time::Instant;
+
+use ioctopus::experiments::chaos;
+use simcore::campaign::{plan_for, shrink};
+use simcore::{CampaignConfig, FaultPlan};
 
 /// Prints the standard figure header.
 pub fn header(fig: &str, caption: &str) {
@@ -18,44 +23,120 @@ pub fn header(fig: &str, caption: &str) {
 }
 
 /// Prints the closing footer with wall-clock cost and the self-profiled
-/// event throughput since the header. Drains the run counters
-/// ([`telemetry::registry::take_run_stats`]) — the same cells
-/// the experiment runners credit through `ioctopus::perf` and that
-/// `perf_baseline` renders into the baseline JSON, so every consumer
-/// reports from one source.
+/// event throughput since the header. Drains the event counter the
+/// experiment runners credit through `ioctopus::perf`.
 pub fn footer(started: Instant) {
     let secs = started.elapsed().as_secs_f64();
-    let telemetry::registry::RunStats {
-        events,
-        audits,
-        fenced,
-        reconfigs,
-    } = telemetry::registry::take_run_stats();
-    let checks = if audits > 0 && secs > 0.0 {
-        format!(" | {:.1}M checks/s", audits as f64 / 1e6 / secs)
-    } else {
-        String::new()
-    };
-    // Hotplug accounting, shown only by harnesses that reconfigured: every
-    // fenced delivery was counted-and-discarded, never delivered.
-    let hotplug = if reconfigs > 0 || fenced > 0 {
-        format!(" | {reconfigs} reconfigs | {fenced} fenced")
-    } else {
-        String::new()
-    };
+    let events = ioctopus::perf::take_events();
     if events > 0 && secs > 0.0 {
         println!(
-            "--------------------- [{:.1}s wall-clock | {:.1}M events | {:.1}M events/s{}{} | {} workers]\n",
+            "--------------------- [{:.1}s wall-clock | {:.1}M events | {:.1}M events/s | {} workers]\n",
             secs,
             events as f64 / 1e6,
             events as f64 / 1e6 / secs,
-            checks,
-            hotplug,
             simcore::pool::worker_count(usize::MAX),
         );
     } else {
         println!("------------------------------------------------ [{secs:.1}s wall-clock]\n");
     }
+}
+
+/// Escapes `s` for use inside a JSON string literal.
+pub fn json_escape(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
+/// Renders `items` as a JSON array of strings.
+pub fn json_strings(items: &[String]) -> String {
+    let quoted: Vec<String> = items
+        .iter()
+        .map(|v| format!("\"{}\"", json_escape(v)))
+        .collect();
+    format!("[{}]", quoted.join(", "))
+}
+
+/// The workspace root — the nearest ancestor of the working directory that
+/// holds `Cargo.lock` — where the harnesses write their JSON artifacts.
+/// Falls back to the working directory.
+pub fn repo_root() -> PathBuf {
+    let mut root = std::env::current_dir().unwrap_or_default();
+    while !root.join("Cargo.lock").exists() {
+        if !root.pop() {
+            return std::env::current_dir().unwrap_or_default();
+        }
+    }
+    root
+}
+
+/// Renders a fault plan as a JSON array of `{at_ps, pf, kind}` objects.
+pub fn plan_json(plan: &FaultPlan) -> String {
+    let evs: Vec<String> = plan
+        .events()
+        .iter()
+        .map(|e| {
+            format!(
+                "{{\"at_ps\": {}, \"pf\": {}, \"kind\": \"{}\"}}",
+                e.at.as_ps(),
+                e.pf,
+                json_escape(&format!("{:?}", e.kind))
+            )
+        })
+        .collect();
+    format!("[{}]", evs.join(", "))
+}
+
+/// Writes `CHAOS_MIN_PLAN.json` at the workspace root: a minimized fault
+/// plan of campaign `seed`'s schedule `index`, labelled `kind`, with the
+/// violations it reproduces.
+pub fn write_min_plan(kind: &str, seed: u64, index: u64, plan: &FaultPlan, violations: &[String]) {
+    let path = repo_root().join("CHAOS_MIN_PLAN.json");
+    let j = format!(
+        "{{\n  \"kind\": \"{kind}\",\n  \"seed\": {seed},\n  \"schedule_index\": {index},\n  \
+         \"events\": {},\n  \"plan\": {},\n  \"violations\": {}\n}}\n",
+        plan.len(),
+        plan_json(plan),
+        json_strings(violations)
+    );
+    if std::fs::write(&path, j).is_ok() {
+        println!("[json] {}", path.display());
+    }
+}
+
+/// If any schedule of a campaign run with `cfg` recorded an invariant
+/// violation, prints every violation, delta-debugs the first offending
+/// schedule to a minimal reproducer and writes it to `CHAOS_MIN_PLAN.json`
+/// labelled `kind`, so CI uploads an actionable artifact before failing.
+pub fn minimize_first_violation(
+    kind: &str,
+    cfg: &CampaignConfig,
+    reports: &[chaos::ScheduleReport],
+    sum: &chaos::CampaignReport,
+) {
+    let Some(bad) = reports.iter().find(|r| !r.violations.is_empty()) else {
+        return;
+    };
+    println!(
+        "\nVIOLATIONS (first schedule = {:?}[{}]):",
+        bad.family, bad.index
+    );
+    for v in &sum.violations {
+        println!("  {v}");
+    }
+    let plan = plan_for(cfg, bad.index);
+    let min = shrink(&plan, |p| {
+        !chaos::run_plan(bad.family, bad.index, p)
+            .violations
+            .is_empty()
+    });
+    let min_report = chaos::run_plan(bad.family, bad.index, &min);
+    println!(
+        "minimized {} -> {} events; reproduce with seed {:#x}, index {}",
+        plan.len(),
+        min.len(),
+        cfg.seed,
+        bad.index
+    );
+    write_min_plan(kind, cfg.seed, bad.index, &min, &min_report.violations);
 }
 
 /// Formats a ratio as the paper's `N.NNx` annotations.
@@ -84,6 +165,14 @@ mod tests {
     fn ratio_formats() {
         assert_eq!(ratio(2.0, 1.0), "2.00x");
         assert_eq!(ratio(1.0, 0.0), "inf");
+    }
+
+    #[test]
+    fn json_helpers_escape_and_quote() {
+        assert_eq!(json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
+        let items = ["x".to_string(), "y\"z".to_string()];
+        assert_eq!(json_strings(&items), r#"["x", "y\"z"]"#);
+        assert_eq!(json_strings(&[]), "[]");
     }
 
     #[test]

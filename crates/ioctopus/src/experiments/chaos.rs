@@ -24,12 +24,13 @@
 //! conservation, socket accounting, PCIe transaction tallies, event-time
 //! monotonicity — see [`simcore::audit`]) on a periodic tick plus a final
 //! quiesce-point pass, and the campaign fails on any recorded violation.
-//! When a schedule *does* trip the audit, [`shrink_failing`] minimizes it
-//! with delta debugging to a locally minimal reproducer; the campaign seed
-//! plus the shrunk plan is the bug report. [`sabotaged_run_trips_audit`]
-//! wires a deliberately broken recovery path (a driver that leaks one Tx
-//! kernel buffer per PF failure) to prove the audit actually catches
-//! realistic recovery bugs and that the shrinker isolates them.
+//! When a schedule *does* trip the audit, the harness minimizes it with
+//! delta debugging ([`simcore::campaign::shrink`]) to a locally minimal
+//! reproducer; the campaign seed plus the shrunk plan is the bug report.
+//! [`sabotaged_run_trips_audit`] wires a deliberately broken driver (one
+//! that leaks a Tx kernel buffer on PF teardown or on hotplug rebind) to
+//! prove the audit actually catches realistic recovery bugs, and
+//! [`shrink_failing`] shows that the shrinker isolates them.
 
 use kernel::NetdevId;
 use memsys::{MemConfig, MemSystem, NodeId};
@@ -155,7 +156,7 @@ pub fn run_schedule(cfg: &CampaignConfig, index: u64) -> ScheduleReport {
 pub fn run_plan(family: Family, index: u64, plan: &FaultPlan) -> ScheduleReport {
     match family {
         Family::NvmeMedia => run_nvme(index, plan),
-        _ => run_netloop(family, index, plan, TOTAL, false),
+        _ => run_netloop(family, index, plan),
     }
 }
 
@@ -215,24 +216,9 @@ pub fn aggregate(seed: u64, reports: &[ScheduleReport]) -> CampaignReport {
     out
 }
 
-/// [`run_reports`] + [`aggregate`] in one call.
-pub fn run_campaign(seed: u64, count: u64) -> CampaignReport {
-    aggregate(seed, &run_reports(seed, count))
-}
-
-/// The three NetLoop-based families share one runner; `sabotage` arms the
-/// deliberately broken recovery path on the server (test harnesses only).
-fn run_netloop(
-    family: Family,
-    index: u64,
-    plan: &FaultPlan,
-    total: Dur,
-    sabotage: bool,
-) -> ScheduleReport {
+/// The three NetLoop-based families share one runner.
+fn run_netloop(family: Family, index: u64, plan: &FaultPlan) -> ScheduleReport {
     let mut duplex = build_duplex(Placement::Octopus, BuildOpts::default());
-    if sabotage {
-        duplex.server.debug_break_recovery();
-    }
     let app = match family {
         // Core 0 is node 0, local to PF0 — the PF campaigns kill most.
         Family::RxStream => App::Rx(make_rx_stream(
@@ -273,15 +259,11 @@ fn run_netloop(
     nl.enable_audit(AUDIT_EVERY);
     nl.install_fault_plan(plan, WATCHDOG_EVERY);
     nl.start_apps(Time::ZERO);
-    nl.run(Time::ZERO + total);
+    nl.run(Time::ZERO + TOTAL);
     nl.run_audit(); // quiesce-point pass even if the periodic tick lapsed
     let robust = nl.duplex.server.robustness();
     let events = nl.events_processed();
-    let fenced = robust.fenced_completions + robust.fenced_irqs;
     crate::perf::note_events(events);
-    crate::perf::note_audits(nl.audit.checks());
-    crate::perf::note_fenced(fenced);
-    crate::perf::note_reconfigs(robust.reconfigs);
     ScheduleReport {
         family,
         index,
@@ -292,7 +274,7 @@ fn run_netloop(
             + robust.doorbell_retries
             + robust.steering_reinstalls
             + robust.steering_reinstall_retries,
-        fenced,
+        fenced: robust.fenced_completions + robust.fenced_irqs,
         reconfigs: robust.reconfigs,
         violations: render(&nl.audit),
     }
@@ -424,7 +406,6 @@ fn run_nvme(index: u64, plan: &FaultPlan) -> ScheduleReport {
         },
     );
     crate::perf::note_events(issued);
-    crate::perf::note_audits(audit.checks());
     ScheduleReport {
         family: Family::NvmeMedia,
         index,
@@ -454,17 +435,19 @@ pub fn sabotage_config(seed: u64) -> CampaignConfig {
     cfg
 }
 
-/// Runs `plan` on a server whose PF-failure recovery deliberately leaks
-/// one Tx kernel buffer per failure ([`kernel::Host::debug_break_recovery`])
-/// and reports whether the invariant audit caught it. This is the
-/// end-to-end proof that the audit layer detects recovery bugs rather than
-/// merely counting checks — and the predicate [`shrink_failing`] minimizes
+/// Runs `plan` on a server whose driver `arm` deliberately breaks and
+/// reports whether the invariant audit caught it. `arm` is
+/// [`kernel::Host::debug_break_recovery`] (PF teardown leaks one Tx kernel
+/// buffer per `PfFail`) or [`kernel::Host::debug_break_readd`] (hotplug
+/// rebind leaks one per completed re-enumeration). This is the end-to-end
+/// proof that the audit layer detects recovery bugs rather than merely
+/// counting checks — and the predicate [`shrink_failing`] minimizes
 /// against.
-pub fn sabotaged_run_trips_audit(plan: &FaultPlan) -> bool {
+pub fn sabotaged_run_trips_audit(plan: &FaultPlan, arm: fn(&mut kernel::Host)) -> bool {
     // A light stream keeps the data path warm without making the ddmin
     // re-runs expensive; the leak is caught at the quiesce-point audit.
     let mut duplex = build_duplex(Placement::Octopus, BuildOpts::default());
-    duplex.server.debug_break_recovery();
+    arm(&mut duplex.server);
     let app = App::Rx(make_rx_stream(
         &mut duplex,
         0,
@@ -481,16 +464,17 @@ pub fn sabotaged_run_trips_audit(plan: &FaultPlan) -> bool {
     nl.run(Time::ZERO + Dur::from_ms(3));
     nl.run_audit();
     crate::perf::note_events(nl.events_processed());
-    crate::perf::note_audits(nl.audit.checks());
     !nl.audit.ok()
 }
 
-/// Minimizes a schedule that trips [`sabotaged_run_trips_audit`] down to a
-/// locally minimal reproducer (delta debugging; re-runs the simulation per
-/// probe). The broken path leaks on `PfFail`, so the minimized plan is the
-/// single fault that exposes the bug.
-pub fn shrink_failing(plan: &FaultPlan) -> FaultPlan {
-    shrink(plan, sabotaged_run_trips_audit)
+/// Minimizes a schedule that trips [`sabotaged_run_trips_audit`] under the
+/// same `arm` down to a locally minimal reproducer (delta debugging;
+/// re-runs the simulation per probe). The teardown leak fires on `PfFail`,
+/// so its minimized plan is that single fault; the rebind leak needs the
+/// epoch to advance, so its fixed point is a `SurpriseRemove` and the
+/// `Reenumerate` whose rebind leaks.
+pub fn shrink_failing(plan: &FaultPlan, arm: fn(&mut kernel::Host)) -> FaultPlan {
+    shrink(plan, |p| sabotaged_run_trips_audit(p, arm))
 }
 
 /// Schedule shape for hotplug sabotage hunts: [`sabotage_config`] plus the
@@ -502,44 +486,6 @@ pub fn hotplug_sabotage_config(seed: u64) -> CampaignConfig {
     cfg.hotplug = true;
     cfg.pair_chance = 1.0;
     cfg
-}
-
-/// Runs `plan` on a server whose hotplug *rebind* path deliberately leaks
-/// one Tx kernel buffer per completed re-enumeration
-/// ([`kernel::Host::debug_break_readd`]) and reports whether the invariant
-/// audit caught it. The leak only fires when the device epoch actually
-/// advanced — which takes a `SurpriseRemove` *followed by* a `Reenumerate`
-/// on the same PF — so the locally minimal reproducer
-/// [`shrink_failing_readd`] converges to is exactly that pair, never a
-/// single event.
-pub fn sabotaged_readd_trips_audit(plan: &FaultPlan) -> bool {
-    let mut duplex = build_duplex(Placement::Octopus, BuildOpts::default());
-    duplex.server.debug_break_readd();
-    let app = App::Rx(make_rx_stream(
-        &mut duplex,
-        0,
-        0,
-        NetdevId(0),
-        16384,
-        32 * 1024,
-        4777,
-    ));
-    let mut nl = NetLoop::new(duplex);
-    nl.add_app(app);
-    nl.install_fault_plan(plan, WATCHDOG_EVERY);
-    nl.start_apps(Time::ZERO);
-    nl.run(Time::ZERO + Dur::from_ms(3));
-    nl.run_audit();
-    crate::perf::note_events(nl.events_processed());
-    crate::perf::note_audits(nl.audit.checks());
-    !nl.audit.ok()
-}
-
-/// Minimizes a schedule that trips [`sabotaged_readd_trips_audit`]. The
-/// expected fixed point is a two-event plan: the remove that bumps the
-/// epoch and the re-add whose rebind leaks.
-pub fn shrink_failing_readd(plan: &FaultPlan) -> FaultPlan {
-    shrink(plan, sabotaged_readd_trips_audit)
 }
 
 #[cfg(test)]
@@ -626,11 +572,12 @@ mod tests {
                 })
             })
             .expect("campaign generates paired hotplug schedules");
+        let arm = kernel::Host::debug_break_readd;
         assert!(
-            sabotaged_readd_trips_audit(&plan),
+            sabotaged_run_trips_audit(&plan, arm),
             "the audit must catch the rebind leak"
         );
-        let min = shrink_failing_readd(&plan);
+        let min = shrink_failing(&plan, arm);
         // The leak needs the epoch to advance, which takes the full pair:
         // a lone Reenumerate is a no-op and a lone SurpriseRemove never
         // reaches the broken rebind path. ddmin's 1-minimality therefore
@@ -655,7 +602,10 @@ mod tests {
             "{:?}",
             min.events()
         );
-        assert!(sabotaged_readd_trips_audit(&min), "reproducer still fails");
+        assert!(
+            sabotaged_run_trips_audit(&min, arm),
+            "reproducer still fails"
+        );
     }
 
     #[test]
@@ -671,11 +621,12 @@ mod tests {
                     .any(|e| e.kind == FaultKind::PfFail && e.at < Time::ZERO + Dur::from_ms(3))
             })
             .expect("campaign generates PfFail schedules");
+        let arm = kernel::Host::debug_break_recovery;
         assert!(
-            sabotaged_run_trips_audit(&plan),
+            sabotaged_run_trips_audit(&plan, arm),
             "the audit must catch the leak"
         );
-        let min = shrink_failing(&plan);
+        let min = shrink_failing(&plan, arm);
         assert!(
             min.len() <= 3,
             "minimized to ≤3 events, got {}: {:?}",
@@ -687,6 +638,9 @@ mod tests {
             "the culprit PfFail survives shrinking: {:?}",
             min.events()
         );
-        assert!(sabotaged_run_trips_audit(&min), "reproducer still fails");
+        assert!(
+            sabotaged_run_trips_audit(&min, arm),
+            "reproducer still fails"
+        );
     }
 }

@@ -82,8 +82,6 @@ pub fn run() -> ReconfigResult {
     let samples = pf_rates(&nl.samples);
     let robust = nl.duplex.server.robustness();
     let nic = nl.duplex.server.nic.counters();
-    crate::perf::note_fenced(robust.fenced_completions + robust.fenced_irqs);
-    crate::perf::note_reconfigs(robust.reconfigs);
 
     let remove_ms = REMOVE_AT.as_secs() * 1e3;
     let readd_ms = READD_AT.as_secs() * 1e3;

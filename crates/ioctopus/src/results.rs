@@ -172,15 +172,6 @@ pub struct NvmeResult {
     pub fio_gbs: f64,
 }
 
-/// Formats a fraction as the paper's "N.NNx" ratio annotations.
-pub fn ratio_label(a: f64, b: f64) -> String {
-    if b == 0.0 {
-        "inf".to_string()
-    } else {
-        format!("{:.2}x", a / b)
-    }
-}
-
 /// A row that can be emitted to the CSV files the bench harnesses write
 /// next to their textual tables (for replotting the figures).
 pub trait CsvRow {

@@ -49,11 +49,6 @@ impl Cores {
         c.busy_until
     }
 
-    /// Accumulated busy time of `core` (profiling).
-    pub fn busy_of(&self, core: usize) -> Dur {
-        self.cores[core].meter.busy_time()
-    }
-
     /// When `core` next becomes free.
     pub fn free_at(&self, core: usize) -> Time {
         self.cores[core].busy_until

@@ -1339,11 +1339,14 @@ impl Host {
     }
 
     /// Applies one fault-plan event to this host's I/O complex. Link faults
-    /// go to the PCIe fabric; PF faults go to the NIC, with the driver-side
-    /// recovery work (steering reinstall, doorbell retry budgets) done here.
-    /// Hotplug events run the three-phase quiesce/drain/rebind sequence,
-    /// which can wake senders whose fenced buffers were reclaimed —
-    /// follow-up events are appended to `out`.
+    /// go to the PCIe fabric. A PF has one lifecycle whichever fault drives
+    /// it: `PfFail` and `SurpriseRemove` tear it down
+    /// ([`teardown_pf`](Self::teardown_pf)), `PfRecover` and `Reenumerate`
+    /// bind it again ([`rebind_pf`](Self::rebind_pf)). Only the hotplug
+    /// kinds advance the device epoch, and only an advanced epoch runs the
+    /// quiesce/drain/rebind fence, whose drain can wake senders whose
+    /// fenced buffers were reclaimed — follow-up events are appended to
+    /// `out`.
     pub fn apply_fault(&mut self, now: Time, pf: PfId, kind: FaultKind, out: &mut OutBuf<HostOut>) {
         self.robust.faults_applied += 1;
         match kind {
@@ -1358,128 +1361,119 @@ impl Host {
                     *st = RetryState::default();
                 }
             }
-            FaultKind::PfFail => {
-                if self.break_recovery {
-                    // Test-only sabotage (see `debug_break_recovery`): the
-                    // teardown path "frees" one Tx kernel buffer on the
-                    // failed PF's node without returning it to its pool.
-                    if let Some(qi) = self.queue_pf.iter().position(|&p| p == pf) {
-                        let node = self.queue_node[qi];
-                        let _ = self.tx_pools[node.0].take();
-                    }
-                }
-                self.nic.fail_pf(now, pf);
-            }
-            FaultKind::PfRecover => {
-                self.nic.recover_pf(pf);
-                for st in &mut self.tx_retry {
-                    *st = RetryState::default();
-                }
-                if self.reinstall_steering(now) {
-                    self.steer_pending = false;
-                } else {
-                    // Some queue's control path was dead (its link is still
-                    // down): the affected flows stay on the failover
-                    // survivor and the watchdog retries with backoff.
-                    self.steer_pending = true;
-                    self.steer_retry = RetryState::default();
-                }
-            }
+            FaultKind::PfFail | FaultKind::SurpriseRemove => self.teardown_pf(now, pf, kind, out),
+            FaultKind::PfRecover | FaultKind::Reenumerate => self.rebind_pf(now, pf, kind, out),
             FaultKind::IrqLoss => self.nic.inject_irq_loss(pf),
             FaultKind::MediaFault { .. } => {
                 // Media faults target drives; a NIC-only host absorbs them
                 // (the fault still counts as applied, mirroring hardware
                 // that latches an AER it has no handler for).
             }
-            FaultKind::SurpriseRemove => {
-                let was_alive = self.nic.pf_alive(pf);
-                // Phase 1 — quiesce: the endpoint vanishes from the fabric
-                // (in-flight transactions are dropped and counted there),
-                // the NIC resets the function — flushing its Tx backlog as
-                // error completions stamped with the *dying* epoch — and
-                // only then does the driver advance its epoch mirror,
-                // fencing everything stamped before this instant.
-                self.fabric.apply_link_fault(now, pf, kind);
-                self.nic.fail_pf(now, pf);
-                let old_epoch = self.nic.pf_epoch(pf);
-                if let Some(e) = self.fabric.epoch(pf) {
-                    self.nic.set_pf_epoch(pf, e);
-                }
-                if self.nic.pf_epoch(pf) > old_epoch {
-                    let epoch = self.nic.pf_epoch(pf);
-                    let mode = (self.live_pf_count() == 1) as u64;
-                    self.note_reconfig_phase(now, pf, 0, epoch, mode);
-                    // Phase 2 — drain: reap everything already visible on
-                    // the removed PF's queues through the fence. Entries
-                    // whose DMA has not landed yet stay put; they hit the
-                    // same fence in `irq` as late completions.
-                    self.note_reconfig_phase(now, pf, 1, epoch, mode);
-                    self.drain_fenced(now, pf, out);
-                    // Phase 3 — rebind: MPFS default + per-flow fallback
-                    // (inside `fail_pf`) already steer Rx through the
-                    // survivors, and XPS failover moves Tx on the next
-                    // send. One live PF left means every flow now crosses
-                    // the interconnect: legacy NUDMA mode, degraded but
-                    // alive.
-                    self.note_reconfig_phase(now, pf, 2, epoch, mode);
-                    self.robust.reconfigs += 1;
-                    if was_alive && self.live_pf_count() == 1 {
-                        self.robust.nudma_entries += 1;
-                    }
-                }
-            }
-            FaultKind::Reenumerate => {
-                let was_nudma = !self.nic.pf_alive(pf) && self.live_pf_count() == 1;
-                // Quiesce: slot power-up bumps the fabric epoch again (and
-                // stalls the retrained links), so stragglers from the
-                // removed instance stay fenced.
-                self.fabric.apply_link_fault(now, pf, kind);
-                let old_epoch = self.nic.pf_epoch(pf);
-                if let Some(e) = self.fabric.epoch(pf) {
-                    self.nic.set_pf_epoch(pf, e);
-                }
-                let advanced = self.nic.pf_epoch(pf) > old_epoch;
-                if advanced {
-                    let epoch = self.nic.pf_epoch(pf);
-                    self.note_reconfig_phase(now, pf, 0, epoch, was_nudma as u64);
-                    // Drain: late completions that landed during the
-                    // outage window.
-                    self.note_reconfig_phase(now, pf, 1, epoch, was_nudma as u64);
-                    self.drain_fenced(now, pf, out);
-                }
-                // Rebind: revive the function and pull steering home —
-                // restoring uniform IOctopus mode — exactly as PF recovery
-                // does, including the dead-control-path retry.
-                self.nic.recover_pf(pf);
-                for st in &mut self.tx_retry {
-                    *st = RetryState::default();
-                }
-                if self.reinstall_steering(now) {
-                    self.steer_pending = false;
-                } else {
-                    self.steer_pending = true;
-                    self.steer_retry = RetryState::default();
-                }
-                if advanced {
-                    let epoch = self.nic.pf_epoch(pf);
-                    let mode = (self.live_pf_count() == 1) as u64;
-                    self.note_reconfig_phase(now, pf, 2, epoch, mode);
-                    self.robust.reconfigs += 1;
-                    if was_nudma && self.live_pf_count() > 1 {
-                        self.robust.nudma_exits += 1;
-                    }
-                    if self.break_readd {
-                        // Test-only sabotage (see `debug_break_readd`): the
-                        // rebind path drops one free Tx kernel buffer on the
-                        // re-added PF's home node while re-initializing its
-                        // rings.
-                        if let Some(qi) = self.queue_pf.iter().position(|&p| p == pf) {
-                            let node = self.queue_node[qi];
-                            let _ = self.tx_pools[node.0].take();
-                        }
-                    }
-                }
-            }
+        }
+    }
+
+    /// Takes `pf` down. Quiesce: the fabric sees the fault first (a surprise
+    /// removal drops the endpoint's in-flight transactions and retires its
+    /// epoch; a function failure leaves the fabric alone), then the NIC
+    /// resets the function — flushing its Tx backlog as error completions
+    /// stamped with the *dying* epoch and failing its flows over to the
+    /// survivors — and only then does the driver mirror the fabric's epoch.
+    /// If that advanced, everything stamped before this instant is fenced:
+    /// the drain reaps what is already visible on `pf`'s queues, and the
+    /// rebind is the failover steering already in place. One live PF left
+    /// means every flow now crosses the interconnect: legacy NUDMA mode,
+    /// degraded but alive.
+    fn teardown_pf(&mut self, now: Time, pf: PfId, kind: FaultKind, out: &mut OutBuf<HostOut>) {
+        if self.break_recovery && kind == FaultKind::PfFail {
+            // Test-only sabotage (see `debug_break_recovery`): the teardown
+            // path "frees" one Tx kernel buffer on the failed PF's node
+            // without returning it to its pool.
+            self.leak_tx_buffer(pf);
+        }
+        let was_alive = self.nic.pf_alive(pf);
+        self.fabric.apply_link_fault(now, pf, kind);
+        self.nic.fail_pf(now, pf);
+        let Some(epoch) = self.sync_epoch(pf) else {
+            return;
+        };
+        let mode = (self.live_pf_count() == 1) as u64;
+        self.note_reconfig_phase(now, pf, 0, epoch, mode);
+        // Entries whose DMA has not landed yet stay put; they hit the same
+        // fence in `irq` as late completions.
+        self.note_reconfig_phase(now, pf, 1, epoch, mode);
+        self.drain_fenced(now, pf, out);
+        self.note_reconfig_phase(now, pf, 2, epoch, mode);
+        self.robust.reconfigs += 1;
+        if was_alive && self.live_pf_count() == 1 {
+            self.robust.nudma_entries += 1;
+        }
+    }
+
+    /// Brings `pf` back. A re-enumeration powers the slot up, which bumps
+    /// the fabric epoch again (and stalls the retrained links), so
+    /// stragglers from the removed instance stay fenced and the ones that
+    /// landed during the outage are drained. Then, for either kind, the
+    /// function revives and steering is pulled home — restoring uniform
+    /// IOctopus mode — with a watchdog retry for flows whose queue's
+    /// control path is still dead.
+    fn rebind_pf(&mut self, now: Time, pf: PfId, kind: FaultKind, out: &mut OutBuf<HostOut>) {
+        let was_nudma = !self.nic.pf_alive(pf) && self.live_pf_count() == 1;
+        self.fabric.apply_link_fault(now, pf, kind);
+        let advanced = self.sync_epoch(pf);
+        if let Some(epoch) = advanced {
+            self.note_reconfig_phase(now, pf, 0, epoch, was_nudma as u64);
+            self.note_reconfig_phase(now, pf, 1, epoch, was_nudma as u64);
+            self.drain_fenced(now, pf, out);
+        }
+        self.nic.recover_pf(pf);
+        for st in &mut self.tx_retry {
+            *st = RetryState::default();
+        }
+        if self.reinstall_steering(now) {
+            self.steer_pending = false;
+        } else {
+            // Some queue's control path was dead (its link is still down):
+            // the affected flows stay on the failover survivor and the
+            // watchdog retries with backoff.
+            self.steer_pending = true;
+            self.steer_retry = RetryState::default();
+        }
+        let Some(epoch) = advanced else {
+            return;
+        };
+        let mode = (self.live_pf_count() == 1) as u64;
+        self.note_reconfig_phase(now, pf, 2, epoch, mode);
+        self.robust.reconfigs += 1;
+        if was_nudma && self.live_pf_count() > 1 {
+            self.robust.nudma_exits += 1;
+        }
+        if self.break_readd {
+            // Test-only sabotage (see `debug_break_readd`): the rebind path
+            // drops one free Tx kernel buffer on the re-added PF's home
+            // node while re-initializing its rings.
+            self.leak_tx_buffer(pf);
+        }
+    }
+
+    /// Mirrors the fabric's epoch for `pf` into the NIC, returning the new
+    /// epoch if it advanced. Only presence transitions (surprise removal,
+    /// re-enumeration) move the fabric's epoch, so a function fault never
+    /// advances it.
+    fn sync_epoch(&mut self, pf: PfId) -> Option<u64> {
+        let old = self.nic.pf_epoch(pf);
+        if let Some(e) = self.fabric.epoch(pf) {
+            self.nic.set_pf_epoch(pf, e);
+        }
+        let epoch = self.nic.pf_epoch(pf);
+        (epoch > old).then_some(epoch)
+    }
+
+    /// Test-only sabotage shared by both hooks: takes one Tx kernel buffer
+    /// from the pool of `pf`'s first queue's node and never returns it.
+    fn leak_tx_buffer(&mut self, pf: PfId) {
+        if let Some(qi) = self.queue_pf.iter().position(|&p| p == pf) {
+            let node = self.queue_node[qi];
+            let _ = self.tx_pools[node.0].take();
         }
     }
 
@@ -1997,8 +1991,21 @@ mod tests {
         let mac = host.netdev_mac(NetdevId(0));
         assert_eq!(host.nic.mpfs().steer(mac, &flow), pfs[0]);
 
+        // A function fault shares the hotplug teardown and rebind but never
+        // advances the epoch, so none of the fence's bookkeeping runs.
+        let assert_unfenced = |host: &Host| {
+            assert_eq!(host.nic.pf_epoch(pfs[0]), 0);
+            let r = host.robustness();
+            assert_eq!(
+                (r.reconfigs, r.fenced_completions, r.fenced_irqs),
+                (0, 0, 0)
+            );
+            assert_eq!((r.nudma_entries, r.nudma_exits), (0, 0));
+        };
+
         fault(&mut host, Time::from_ms(1), pfs[0], FaultKind::PfFail);
         assert_eq!(host.nic.mpfs().steer(mac, &flow), pfs[1], "failed over");
+        assert_unfenced(&host);
         // Traffic keeps flowing through the survivor.
         let outs = wire(&mut host, Time::from_ms(2), flow, 1448, 0);
         let (at, q) = outs
@@ -2018,6 +2025,7 @@ mod tests {
         fault(&mut host, Time::from_ms(3), pfs[0], FaultKind::PfRecover);
         assert_eq!(host.nic.mpfs().steer(mac, &flow), pfs[0], "pulled home");
         assert_eq!(host.robustness().faults_applied, 2);
+        assert_unfenced(&host);
     }
 
     #[test]

@@ -625,12 +625,6 @@ impl MemSystem {
         self.mmio_extra_hops(core_node, dev_node)
     }
 
-    /// Queueing delay currently present in the `from → to` interconnect
-    /// direction (diagnostic).
-    pub fn interconnect_queue_delay(&self, now: Time, from: NodeId, to: NodeId) -> Dur {
-        self.qpi.queue_delay(now, from, to)
-    }
-
     /// A traffic snapshot since the last [`reset_counters`](Self::reset_counters).
     pub fn counters(&self) -> Counters {
         Counters {
@@ -670,17 +664,6 @@ impl MemSystem {
     /// if cached (diagnostics and invariant tests).
     pub fn peek_line(&self, node: NodeId, addr: PhysAddr) -> Option<LineState> {
         self.llcs[node.0].peek(addr)
-    }
-
-    /// Drops all cached lines (cold-start for tests). Also invalidates the
-    /// stall memo (conservative: the memoized formulas are classification-
-    /// keyed and LLC-content-independent, but a cache reconfiguration event
-    /// should never be able to replay stale arithmetic).
-    pub fn flush_caches(&mut self) {
-        for llc in &mut self.llcs {
-            llc.flush_all();
-        }
-        self.memo.invalidate();
     }
 
     /// Drops every copy of the `lines` lines from `first`, all of home

@@ -640,11 +640,6 @@ impl Nic {
         self.queue(q).map_or(0, |qq| qq.rx_cq.len())
     }
 
-    /// Whether `q`'s Tx CQ has unreaped completions.
-    pub fn tx_cq_depth(&self, q: QueueId) -> usize {
-        self.queue(q).map_or(0, |qq| qq.tx_cq.len())
-    }
-
     /// Whether `q`'s interrupt is currently armed (diagnostics).
     pub fn irq_armed(&self, q: QueueId) -> bool {
         self.queue(q).is_some_and(|qq| qq.irq_armed)
@@ -1013,12 +1008,6 @@ impl Nic {
             done_at: t,
             irq,
         }
-    }
-
-    /// The client→server wire direction (the system uses it to model the
-    /// peer's transmissions).
-    pub fn wire_mut(&mut self) -> &mut Wire {
-        &mut self.wire
     }
 
     /// Receive bytes that flowed through `pf` since construction (Figure 14

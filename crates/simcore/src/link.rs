@@ -83,13 +83,6 @@ impl BwLink {
         self.busy_until + self.latency
     }
 
-    /// Like [`reserve`](Self::reserve) but does not consume bandwidth — used
-    /// for probe traffic that rides on dedicated wires (e.g. doorbell writes
-    /// whose bandwidth is negligible).
-    pub fn delay_only(&self, _now: Time) -> Dur {
-        self.latency
-    }
-
     /// [`reserve`](Self::reserve) for an *idle* link with the serialization
     /// time already known (memoized fast path: skips the bytes→duration
     /// division). The caller must guarantee that the link is idle at `now`

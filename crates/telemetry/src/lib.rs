@@ -4,10 +4,8 @@
 //! time only, no wallclock, no hash-order dependence, zero allocation in
 //! steady state):
 //!
-//! * [`registry`] — the process-wide run counters (events, audit checks,
-//!   fenced deliveries, reconfigurations) the bench footers and results
-//!   JSON render from, so there is exactly one source of aggregate
-//!   accounting, plus the per-run [`Snapshot`] metric table.
+//! * [`registry`] — the per-run [`Snapshot`] metric table each component
+//!   fills from its own counters at harvest time.
 //! * [`trace`] — a span/event tracer: fixed-size [`trace::TraceRecord`]s
 //!   stamped with simulated time, pushed into pre-sized per-domain
 //!   ring buffers ([`trace::TraceRing`]) owned by the component that
@@ -32,5 +30,5 @@ pub mod registry;
 pub mod trace;
 
 pub use flight::{FlightRecorder, LedgerCells, LocalityTable};
-pub use registry::{Counter, RunStats, Snapshot};
+pub use registry::Snapshot;
 pub use trace::{Domain, TraceKind, TraceRecord, TraceRing, TraceSet};
