@@ -183,11 +183,6 @@ pub fn hotplug_config(seed: u64) -> CampaignConfig {
     cfg
 }
 
-/// Runs a topology-churn campaign: `count` schedules of [`hotplug_config`].
-pub fn run_hotplug_campaign(seed: u64, count: u64) -> CampaignReport {
-    aggregate(seed, &run_reports_with(&hotplug_config(seed), count))
-}
-
 /// Folds per-schedule reports into a campaign summary.
 pub fn aggregate(seed: u64, reports: &[ScheduleReport]) -> CampaignReport {
     let mut out = CampaignReport {
@@ -477,20 +472,25 @@ pub fn shrink_failing(plan: &FaultPlan, arm: fn(&mut kernel::Host)) -> FaultPlan
     shrink(plan, |p| sabotaged_run_trips_audit(p, arm))
 }
 
-/// Schedule shape for hotplug sabotage hunts: [`sabotage_config`] plus the
-/// hotplug kinds with pairing forced on, so generated schedules reliably
-/// contain complete remove→re-add cycles for the broken rebind path to
-/// leak on.
-pub fn hotplug_sabotage_config(seed: u64) -> CampaignConfig {
-    let mut cfg = sabotage_config(seed);
-    cfg.hotplug = true;
-    cfg.pair_chance = 1.0;
-    cfg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs a topology-churn campaign: `count` schedules of [`hotplug_config`].
+    fn run_hotplug_campaign(seed: u64, count: u64) -> CampaignReport {
+        aggregate(seed, &run_reports_with(&hotplug_config(seed), count))
+    }
+
+    /// Schedule shape for hotplug sabotage hunts: [`sabotage_config`] plus the
+    /// hotplug kinds with pairing forced on, so generated schedules reliably
+    /// contain complete remove→re-add cycles for the broken rebind path to
+    /// leak on.
+    fn hotplug_sabotage_config(seed: u64) -> CampaignConfig {
+        let mut cfg = sabotage_config(seed);
+        cfg.hotplug = true;
+        cfg.pair_chance = 1.0;
+        cfg
+    }
 
     #[test]
     fn families_rotate_round_robin() {

@@ -18,6 +18,8 @@
 //! sockets' copies of a line skips every cache that holds no line of that
 //! line's home.
 
+use std::ops::Range;
+
 use crate::topology::{NodeId, PhysAddr, LINE_BYTES, NODE_SHIFT};
 
 /// Coherence state of a cached line (MESI-lite).
@@ -79,11 +81,12 @@ impl LlcConfig {
 /// (NVMe reads fill every set's DDIO ways), so the walk is built to scan
 /// each set once per line, over as few bytes as possible:
 ///
-/// * Walks take `(tag, set)` pairs from `Llc::walk`: one division for the
-///   first line of an access, then a wrap-around increment per line that
-///   also moves the tag on when the set index wraps. Every LLC of a
-///   machine has the same geometry, so the pair also serves the peer
-///   snoops.
+/// * Every walk takes its sets from `runs`: the stretches of consecutive
+///   sets between the wraps of the set ring. It divides once for the
+///   first line of an access and adds 1 to the tag at each wrap, and each
+///   walk is a loop over `chunks_exact_mut(ways)` of a run, zipped with
+///   its `lens`. Every LLC of a machine has the same geometry, so a set
+///   index also serves the peer snoops.
 /// * A way word is `tag << 2 | DIRTY | DDIO`. The 30-bit tag is
 ///   `home << 22 | (line / n_sets − bases[home])`, where `bases[home]` is
 ///   the quotient of the home's first line: within a set it names the line
@@ -94,14 +97,16 @@ impl LlcConfig {
 /// * Each set keeps its resident words packed at the front of its range
 ///   (`lens` holds the per-set count), most recently used first. A hit or
 ///   a fill moves its word to the front, so the CPU victim of a full set
-///   is its last word, and the DDIO partition's victim is the first DDIO
-///   word found scanning back from the last. Invalidation closes the gap
-///   in order. No stamp, counter or victim search over the set is needed,
-///   and most hits stop the tag scan at the first word.
-/// * The two walks that change what is resident are loops of their own,
-///   `cpu_walk` and `ddio_fill`. Each copies its home's resident-line
-///   count and its home's dirty-victim count into locals (`cpu_walk` also
-///   its hit and miss counts) and writes them back once, when it ends.
+///   is its last word, and the DDIO partition's victim is its last DDIO
+///   word. Invalidation closes the gap in order. No stamp, counter or
+///   victim search over the set is needed, and most hits stop the tag
+///   scan at the first word.
+/// * Each walk is one loop with its counters in locals: the walk home's
+///   resident-line and dirty-victim counts (`cpu_walk` also its miss and
+///   cache-to-cache counts) are written back once, when it ends.
+///   `cpu_walk` is monomorphized on whether it writes and whether any
+///   peer holds a line of its home, so a walk no peer can answer carries
+///   no peer state.
 /// * The slab is zero-initialized primitive arrays: `vec![0; n]` takes the
 ///   zeroed-page allocation path, so construction costs four allocator
 ///   calls regardless of geometry, and no word is ever allocated lazily
@@ -109,9 +114,10 @@ impl LlcConfig {
 ///   as boxed slices.
 /// * `home_lines` counts the resident lines of each home node exactly, so
 ///   a snoop or invalidation walk can skip a cache that holds no line of
-///   the access's home without scanning a set (`holds_home`). Only
-///   `fill`, `invalidate_at` and [`flush_all`](Self::flush_all) change
-///   which lines are resident, and they alone change the counts.
+///   the access's home without scanning a set (`holds_home`). Only the
+///   fills of `cpu_walk` and `ddio_fill`, the invalidations and
+///   [`flush_all`](Self::flush_all) change which lines are resident, and
+///   they alone change the counts.
 #[derive(Debug, Clone)]
 pub struct Llc {
     cfg: LlcConfig,
@@ -130,16 +136,6 @@ pub struct Llc {
     misses: u64,
 }
 
-/// The counters a walk holds in locals while it runs.
-struct WalkCounters {
-    /// Home node of every line of the walk.
-    home: usize,
-    /// The LLC's resident-line count for `home`.
-    resident: u32,
-    /// Dirty lines of `home` to write back.
-    dirty: u64,
-}
-
 /// Puts `word` at the front of a set's `words`, moving the `at` words
 /// before position `at` back one place over the word there: the line
 /// that moves, the victim, or a free way.
@@ -150,6 +146,29 @@ fn to_front(words: &mut [u32], at: usize, word: u32) {
         moved[i + 1] = moved[i];
     }
     moved[0] = word;
+}
+
+/// Counts out `old`, a line a walk over `home`'s lines evicts: a line of
+/// `home` in the walk's `resident` and `dirty` locals, one of another home
+/// in `home_lines` and `writebacks` at once.
+#[inline(always)]
+fn evict(
+    old: u32,
+    home: usize,
+    resident: &mut u32,
+    dirty: &mut u64,
+    home_lines: &mut [u32],
+    writebacks: &mut [u64],
+) {
+    let old_home = Llc::home_of(old >> TAG_SHIFT);
+    let old_dirty = u64::from(old & DIRTY);
+    if old_home == home {
+        *resident -= 1;
+        *dirty += old_dirty;
+    } else {
+        home_lines[old_home] -= 1;
+        writebacks[old_home] += old_dirty;
+    }
 }
 
 impl Llc {
@@ -192,14 +211,15 @@ impl Llc {
         self.cfg
     }
 
-    /// `(tag, set)` for the `lines` consecutive lines from `first`, all of
-    /// one home: one division for the first line, then a step that wraps
-    /// the set index and moves the tag to the next quotient as it does.
+    /// The runs of consecutive sets that the `lines` lines from `first`,
+    /// all of one home, map to, each with the tag its lines carry: one
+    /// division for the first line, then a run up to each wrap of the set
+    /// ring, past which the tag moves to the next quotient.
     ///
     /// # Panics
     /// Panics if the last line's quotient, relative to its home's first
     /// line, does not fit in the tag's 22 bits.
-    pub(crate) fn walk(&self, first: u64, lines: u64) -> impl Iterator<Item = (u32, usize)> {
+    fn runs(&self, first: u64, lines: u64) -> impl Iterator<Item = (u32, Range<usize>)> {
         let n_sets = self.n_sets;
         let (mut tag, mut set) = self.locate(first);
         let end = (self.bases[Self::home_of(tag)] + (1 << REL_BITS)) * n_sets as u64;
@@ -207,14 +227,17 @@ impl Llc {
             first + lines <= end,
             "walk of {lines} lines from line {first:#x} leaves the LLC's tag range"
         );
-        (0..lines).map(move |_| {
-            let at = (tag, set);
-            set += 1;
-            if set == n_sets {
-                set = 0;
-                tag += 1;
+        let mut left = lines;
+        std::iter::from_fn(move || {
+            if left == 0 {
+                return None;
             }
-            at
+            let stop = (set as u64 + left).min(n_sets as u64) as usize;
+            let run = (tag, set..stop);
+            left -= (stop - set) as u64;
+            set = 0;
+            tag += 1;
+            Some(run)
         })
     }
 
@@ -259,100 +282,12 @@ impl Llc {
             .position(|&w| w >> TAG_SHIFT == tag)
     }
 
-    /// The way words of `set`, resident or not.
-    fn set_words(&mut self, set: usize) -> &mut [u32] {
-        let start = set * self.cfg.ways;
-        &mut self.words[start..start + self.cfg.ways]
-    }
-
     fn state_of(word: u32) -> LineState {
         if word & DIRTY != 0 {
             LineState::Modified
         } else {
             LineState::Shared
         }
-    }
-
-    /// Where a non-DDIO fill of a missing line goes: the first free way of
-    /// a set that holds `len` lines, or its LRU line, the last, when the
-    /// set is full.
-    fn victim(&self, len: usize) -> usize {
-        len.min(self.cfg.ways - 1)
-    }
-
-    /// Where a DDIO fill of a missing line goes: the LRU line of the DDIO
-    /// partition once it holds `ddio_ways` lines, else where any other
-    /// fill would go. The scan runs back from the set's LRU end, so the
-    /// first DDIO word it meets is the partition's LRU line, and it stops
-    /// at the `ddio_ways`-th.
-    fn ddio_victim(&self, set: usize) -> usize {
-        let start = set * self.cfg.ways;
-        let len = self.lens[set] as usize;
-        let mut seen = 0;
-        let mut lru = 0;
-        for (i, &w) in self.words[start..start + len].iter().enumerate().rev() {
-            if w & DDIO != 0 {
-                if seen == 0 {
-                    lru = i;
-                }
-                seen += 1;
-                if seen == self.cfg.ddio_ways {
-                    return lru;
-                }
-            }
-        }
-        self.victim(len)
-    }
-
-    /// The counters of a walk over the lines from `first`, loaded from
-    /// this LLC.
-    fn begin_walk(&self, first: u64) -> WalkCounters {
-        let home = (first >> HOME_LINE_SHIFT) as usize;
-        WalkCounters {
-            home,
-            resident: self.home_lines[home],
-            dirty: 0,
-        }
-    }
-
-    /// Writes a finished walk's counters back; its dirty victims join
-    /// `writebacks`.
-    fn end_walk(&mut self, c: WalkCounters, writebacks: &mut [u64]) {
-        self.home_lines[c.home] = c.resident;
-        writebacks[c.home] += c.dirty;
-    }
-
-    /// Puts `word` at the front of `set` in place of the word at `at`: a
-    /// free way when `at` is the set's length, else a resident line, which
-    /// is evicted. An evicted line of the walk's home is counted in `c`;
-    /// one of another home updates that home's count and `writebacks` at
-    /// once.
-    #[inline(always)]
-    fn fill(
-        &mut self,
-        c: &mut WalkCounters,
-        set: usize,
-        at: usize,
-        word: u32,
-        writebacks: &mut [u64],
-    ) {
-        let start = set * self.cfg.ways;
-        if at < self.lens[set] as usize {
-            let old = self.words[start + at];
-            let home = Self::home_of(old >> TAG_SHIFT);
-            let dirty = u64::from(old & DIRTY);
-            if home == c.home {
-                c.resident -= 1;
-                c.dirty += dirty;
-            } else {
-                self.home_lines[home] -= 1;
-                writebacks[home] += dirty;
-            }
-        } else {
-            self.lens[set] += 1;
-        }
-        c.resident += 1;
-        to_front(self.set_words(set), at, word);
     }
 
     /// A CPU of this LLC's socket reads (or, with `write`, writes) the
@@ -370,6 +305,11 @@ impl Llc {
     /// forwarded cache to cache with an implicit writeback to home and the
     /// snoop stops there. The line then fills the front of its set, over a
     /// free way or the set's LRU line.
+    ///
+    /// The walk snoops only if some peer holds a line of the home when it
+    /// starts. That is exact: a walk only removes lines from its peers, so
+    /// a peer that holds none of the home's lines then holds none until
+    /// the walk ends.
     pub(crate) fn cpu_walk(
         &mut self,
         before: &mut [Llc],
@@ -379,56 +319,117 @@ impl Llc {
         write: bool,
         writebacks: &mut [u64],
     ) -> (u64, u64, u64) {
-        let mut c = self.begin_walk(first);
-        let home = c.home;
-        let (mut hit, mut miss, mut c2c) = (0, 0, 0);
-        let flags = if write { DIRTY } else { 0 };
-        for (tag, set) in self.walk(first, lines) {
-            if let Some(at) = self.find(set, tag) {
-                hit += 1;
-                let words = self.set_words(set);
-                let word = if write {
-                    tag << TAG_SHIFT | DIRTY
-                } else {
-                    words[at]
-                };
-                to_front(words, at, word);
-                if write {
-                    for peer in before.iter_mut().chain(after.iter_mut()) {
-                        if peer.home_lines[home] != 0 {
-                            peer.invalidate_at(set, tag);
-                        }
+        let home = (first >> HOME_LINE_SHIFT) as usize;
+        let snoop = before
+            .iter()
+            .chain(after.iter())
+            .any(|peer| peer.home_lines[home] != 0);
+        match (write, snoop) {
+            (false, false) => {
+                self.cpu_walk_as::<false, false>(before, after, first, lines, writebacks)
+            }
+            (false, true) => {
+                self.cpu_walk_as::<false, true>(before, after, first, lines, writebacks)
+            }
+            (true, false) => {
+                self.cpu_walk_as::<true, false>(before, after, first, lines, writebacks)
+            }
+            (true, true) => self.cpu_walk_as::<true, true>(before, after, first, lines, writebacks),
+        }
+    }
+
+    /// [`cpu_walk`](Self::cpu_walk) for a write (`WRITE`) or a read, with
+    /// or without (`SNOOP`) the peers. Each set's step is a move-to-front
+    /// search: every word the tag scan passes moves back one place over the
+    /// next, the new front word in its place. A hit at rank `k` so leaves
+    /// the order `to_front` would; a miss leaves the former last word in
+    /// hand, the victim of a full set or else the set's new tail.
+    #[inline(always)]
+    fn cpu_walk_as<const WRITE: bool, const SNOOP: bool>(
+        &mut self,
+        before: &mut [Llc],
+        after: &mut [Llc],
+        first: u64,
+        lines: u64,
+        writebacks: &mut [u64],
+    ) -> (u64, u64, u64) {
+        let home = (first >> HOME_LINE_SHIFT) as usize;
+        let ways = self.cfg.ways;
+        let flags = if WRITE { DIRTY } else { 0 };
+        let (mut miss, mut c2c) = (0, 0);
+        let mut resident = self.home_lines[home];
+        let mut dirty = 0;
+        for (tag, sets) in self.runs(first, lines) {
+            let word = tag << TAG_SHIFT | flags;
+            let mut set = sets.start;
+            let run = &mut self.words[sets.start * ways..sets.end * ways];
+            for (words, len) in run.chunks_exact_mut(ways).zip(&mut self.lens[sets]) {
+                let n = usize::from(*len);
+                let mut held = word;
+                let mut found = false;
+                for w in &mut words[..n] {
+                    held = std::mem::replace(w, held);
+                    if held >> TAG_SHIFT == tag {
+                        found = true;
+                        break;
                     }
                 }
-                continue;
-            }
-            let mut forwarded = false;
-            for peer in before.iter_mut().chain(after.iter_mut()) {
-                if peer.home_lines[home] == 0 {
-                    continue;
-                }
-                let prior = if write {
-                    peer.invalidate_at(set, tag)
+                if found {
+                    // A write hit's front word is already `word`.
+                    if !WRITE {
+                        words[0] = held;
+                    }
+                    if WRITE && SNOOP {
+                        for peer in before.iter_mut().chain(after.iter_mut()) {
+                            if peer.home_lines[home] != 0 {
+                                peer.invalidate_at(set, tag);
+                            }
+                        }
+                    }
                 } else {
-                    peer.downgrade_at(set, tag)
-                };
-                if prior == Some(LineState::Modified) {
-                    c.dirty += 1;
-                    forwarded = true;
-                    break;
+                    let mut forwarded = false;
+                    if SNOOP {
+                        for peer in before.iter_mut().chain(after.iter_mut()) {
+                            if peer.home_lines[home] == 0 {
+                                continue;
+                            }
+                            let prior = if WRITE {
+                                peer.invalidate_at(set, tag)
+                            } else {
+                                peer.downgrade_at(set, tag)
+                            };
+                            if prior == Some(LineState::Modified) {
+                                dirty += 1;
+                                forwarded = true;
+                                break;
+                            }
+                        }
+                    }
+                    if forwarded {
+                        c2c += 1;
+                    } else {
+                        miss += 1;
+                    }
+                    resident += 1;
+                    if n == ways {
+                        let (old, home_lines) = (held, &mut self.home_lines);
+                        evict(old, home, &mut resident, &mut dirty, home_lines, writebacks);
+                    } else {
+                        words[n] = held;
+                        *len += 1;
+                    }
+                }
+                if SNOOP {
+                    set += 1;
                 }
             }
-            if forwarded {
-                c2c += 1;
-            } else {
-                miss += 1;
-            }
-            let at = self.victim(self.lens[set] as usize);
-            self.fill(&mut c, set, at, tag << TAG_SHIFT | flags, writebacks);
         }
+        // Every line is a hit, a miss or a cache-to-cache transfer.
+        let hit = lines - miss - c2c;
         self.hits += hit;
         self.misses += miss + c2c;
-        self.end_walk(c, writebacks);
+        self.home_lines[home] = resident;
+        writebacks[home] += dirty;
         (hit, miss, c2c)
     }
 
@@ -437,37 +438,102 @@ impl Llc {
     /// set and becomes `Modified` and DDIO; a missing one fills the front
     /// as such, over the partition's victim. Dirty victims are added to
     /// `writebacks` by home.
+    ///
+    /// One forward pass per set finds the line, or else the partition's
+    /// victim: its LRU line, the set's last DDIO word, once it holds
+    /// `ddio_ways` lines, and otherwise where a CPU fill would go, a free
+    /// way or the set's last word.
     pub(crate) fn ddio_fill(&mut self, first: u64, lines: u64, writebacks: &mut [u64]) {
-        let mut c = self.begin_walk(first);
-        for (tag, set) in self.walk(first, lines) {
+        let home = (first >> HOME_LINE_SHIFT) as usize;
+        let (ways, ddio_ways) = (self.cfg.ways, self.cfg.ddio_ways);
+        let mut resident = self.home_lines[home];
+        let mut dirty = 0;
+        for (tag, sets) in self.runs(first, lines) {
             let word = tag << TAG_SHIFT | DIRTY | DDIO;
-            match self.find(set, tag) {
-                Some(at) => to_front(self.set_words(set), at, word),
-                None => {
-                    let at = self.ddio_victim(set);
-                    self.fill(&mut c, set, at, word, writebacks);
+            let run = &mut self.words[sets.start * ways..sets.end * ways];
+            for (words, len) in run.chunks_exact_mut(ways).zip(&mut self.lens[sets]) {
+                let n = usize::from(*len);
+                let (mut found, mut ddio, mut last_ddio) = (None, 0, 0);
+                for (i, &w) in words[..n].iter().enumerate() {
+                    if w >> TAG_SHIFT == tag {
+                        found = Some(i);
+                        break;
+                    }
+                    if w & DDIO != 0 {
+                        ddio += 1;
+                        last_ddio = i;
+                    }
+                }
+                let at = match found {
+                    Some(at) => at,
+                    None => {
+                        let at = if ddio >= ddio_ways {
+                            last_ddio
+                        } else {
+                            n.min(ways - 1)
+                        };
+                        resident += 1;
+                        if at < n {
+                            let (old, home_lines) = (words[at], &mut self.home_lines);
+                            evict(old, home, &mut resident, &mut dirty, home_lines, writebacks);
+                        } else {
+                            *len += 1;
+                        }
+                        at
+                    }
+                };
+                to_front(words, at, word);
+            }
+        }
+        self.home_lines[home] = resident;
+        writebacks[home] += dirty;
+    }
+
+    /// Drops this LLC's copies of the `lines` lines from `first`, all of
+    /// one home. The words behind each dropped one move up one place, so
+    /// its set stays in recency order.
+    pub(crate) fn invalidate_lines(&mut self, first: u64, lines: u64) {
+        let home = (first >> HOME_LINE_SHIFT) as usize;
+        let ways = self.cfg.ways;
+        let mut resident = self.home_lines[home];
+        for (tag, sets) in self.runs(first, lines) {
+            let run = &mut self.words[sets.start * ways..sets.end * ways];
+            for (words, len) in run.chunks_exact_mut(ways).zip(&mut self.lens[sets]) {
+                let words = &mut words[..usize::from(*len)];
+                if let Some(at) = words.iter().position(|&w| w >> TAG_SHIFT == tag) {
+                    words.copy_within(at + 1.., at);
+                    *len -= 1;
+                    resident -= 1;
                 }
             }
         }
-        self.end_walk(c, writebacks);
+        self.home_lines[home] = resident;
     }
 
-    /// State of the line tagged `tag` in `set`, without touching recency or
-    /// statistics.
-    pub(crate) fn peek_at(&self, set: usize, tag: u32) -> Option<LineState> {
-        self.find(set, tag)
-            .map(|at| Self::state_of(self.words[set * self.cfg.ways + at]))
+    /// How many of the `lines` lines from `first`, all of one home, this
+    /// LLC holds, without touching recency or statistics.
+    pub(crate) fn resident_of(&self, first: u64, lines: u64) -> u64 {
+        let ways = self.cfg.ways;
+        let mut resident = 0;
+        for (tag, sets) in self.runs(first, lines) {
+            let run = &self.words[sets.start * ways..sets.end * ways];
+            for (words, &len) in run.chunks_exact(ways).zip(&self.lens[sets]) {
+                let words = &words[..usize::from(len)];
+                resident += u64::from(words.iter().any(|&w| w >> TAG_SHIFT == tag));
+            }
+        }
+        resident
     }
 
     /// Removes the line tagged `tag` from `set`, returning the state it had.
     /// The words behind it move up one place, so the set stays in recency
     /// order.
-    pub(crate) fn invalidate_at(&mut self, set: usize, tag: u32) -> Option<LineState> {
+    fn invalidate_at(&mut self, set: usize, tag: u32) -> Option<LineState> {
         let at = self.find(set, tag)?;
-        let len = self.lens[set] as usize;
-        let words = self.set_words(set);
+        let start = set * self.cfg.ways;
+        let words = &mut self.words[start..start + self.lens[set] as usize];
         let state = Self::state_of(words[at]);
-        words.copy_within(at + 1..len, at);
+        words.copy_within(at + 1.., at);
         self.lens[set] -= 1;
         self.home_lines[Self::home_of(tag)] -= 1;
         Some(state)
@@ -477,7 +543,7 @@ impl Llc {
     /// state it had.
     fn downgrade_at(&mut self, set: usize, tag: u32) -> Option<LineState> {
         let at = self.find(set, tag)?;
-        let word = &mut self.set_words(set)[at];
+        let word = &mut self.words[set * self.cfg.ways + at];
         let state = Self::state_of(*word);
         *word &= !DIRTY;
         Some(state)
@@ -487,7 +553,8 @@ impl Llc {
     /// agent).
     pub fn peek(&self, addr: PhysAddr) -> Option<LineState> {
         let (tag, set) = self.locate(addr.line());
-        self.peek_at(set, tag)
+        self.find(set, tag)
+            .map(|at| Self::state_of(self.words[set * self.cfg.ways + at]))
     }
 
     /// Lifetime hit count.
@@ -850,6 +917,11 @@ mod tests {
         /// DDIO misses whose partition had room, so they filled where a
         /// CPU miss would.
         roomy_ddio_fills: usize,
+        /// CPU walks that began while a peer held a line of their home,
+        /// so `cpu_walk` ran its snooping instance.
+        snooping_walks: usize,
+        /// CPU walks that began while no peer held a line of their home.
+        private_walks: usize,
     }
 
     /// The stamp oracle: an LLC whose sets are lists of lines with
@@ -1089,9 +1161,12 @@ mod tests {
     /// `max_lines` of each home's first `universe` lines, which share the
     /// cache's sets, so fills evict lines of other homes; other nodes'
     /// reads and writes leave `Shared` and `Modified` copies for the walks
-    /// to snoop and invalidate. Full-set CPU evictions, evictions of
-    /// another home's line, deep DDIO victims and DDIO fills into a
-    /// partition with room must each have occurred.
+    /// to snoop and invalidate, through `invalidate_lines` before a DDIO
+    /// write. After every walk each LLC's `resident_of` over the walk's
+    /// lines must count the oracle's resident ones. Full-set CPU
+    /// evictions, evictions of another home's line, deep DDIO victims,
+    /// DDIO fills into a partition with room, and CPU walks with and
+    /// without a peer that holds their home must each have occurred.
     fn check_against_stamp_oracle(cfg: LlcConfig, universe: u64, max_lines: u64, seed: u64) {
         let mut r = SimRng::seed(seed);
         let mut seen = Shapes::default();
@@ -1114,13 +1189,11 @@ mod tests {
                         // The other LLCs' copies go first, as in `dma_write`.
                         for (peer, llc) in walked.iter_mut().enumerate() {
                             if peer != node {
-                                for (tag, set) in llc.walk(first, lines) {
-                                    llc.invalidate_at(set, tag);
-                                }
+                                llc.invalidate_lines(first, lines);
                             }
                         }
                         walked[node].ddio_fill(first, lines, &mut walked_wb);
-                        for line in span {
+                        for line in span.clone() {
                             for (peer, llc) in oracle.iter_mut().enumerate() {
                                 if peer != node {
                                     llc.invalidate(line);
@@ -1131,10 +1204,18 @@ mod tests {
                     } else {
                         let node = r.below(nodes as u64) as usize;
                         let write = r.chance(0.5);
+                        let peers_hold = (0..nodes).any(|peer| {
+                            peer != node && walked[peer].home_lines[home as usize] != 0
+                        });
+                        if peers_hold {
+                            seen.snooping_walks += 1;
+                        } else {
+                            seen.private_walks += 1;
+                        }
                         let counts =
                             cpu_walk_from(&mut walked, node, first, lines, write, &mut walked_wb);
                         let mut want = (0, 0, 0);
-                        for line in span {
+                        for line in span.clone() {
                             let (h, m, c) =
                                 cpu_line(&mut oracle, node, line, write, &mut oracle_wb);
                             want = (want.0 + h, want.1 + m, want.2 + c);
@@ -1143,6 +1224,12 @@ mod tests {
                     }
                     for (w, o) in walked.iter().zip(&oracle) {
                         assert_same(w, o, &at);
+                        let held = span.clone().filter(|&line| o.find(line).is_some());
+                        assert_eq!(
+                            w.resident_of(first, lines),
+                            held.count() as u64,
+                            "{at}: resident_of"
+                        );
                     }
                     assert_eq!(walked_wb, oracle_wb, "{at}: writebacks");
                 }
@@ -1158,6 +1245,8 @@ mod tests {
         assert!(seen.foreign_evictions > 0, "no other-home victim: {seen:?}");
         assert!(seen.deep_ddio_victims > 0, "no deep DDIO victim: {seen:?}");
         assert!(seen.roomy_ddio_fills > 0, "no roomy DDIO fill: {seen:?}");
+        assert!(seen.snooping_walks > 0, "no snooping CPU walk: {seen:?}");
+        assert!(seen.private_walks > 0, "no private CPU walk: {seen:?}");
     }
 
     /// `tiny`'s geometry: 4 ways, 2 of them DDIO ways.
@@ -1192,11 +1281,21 @@ mod tests {
                     .min((c.bases[home as usize] + (1 << REL_BITS)) * n_sets);
                 let wraps = (first / n_sets + 2) * n_sets - 3;
                 for start in [first, wraps, end - lines] {
-                    for (line, (tag, set)) in (start..).zip(c.walk(start, lines)) {
-                        assert_eq!((tag, set), c.locate(line), "line {line:#x}, {n_sets} sets");
-                        assert_eq!(Llc::home_of(tag), home as usize);
-                        assert_eq!(c.line_of(tag, set), line);
+                    let mut line = start;
+                    for (tag, sets) in c.runs(start, lines) {
+                        assert!(
+                            sets.start == 0 || line == start,
+                            "a later run starts at set 0"
+                        );
+                        assert!(sets.end == c.n_sets || line + sets.len() as u64 == start + lines);
+                        for set in sets {
+                            assert_eq!((tag, set), c.locate(line), "line {line:#x}, {n_sets} sets");
+                            assert_eq!(Llc::home_of(tag), home as usize);
+                            assert_eq!(c.line_of(tag, set), line);
+                            line += 1;
+                        }
                     }
+                    assert_eq!(line, start + lines, "the runs cover every line once");
                 }
             }
         }
@@ -1206,7 +1305,7 @@ mod tests {
     #[should_panic(expected = "leaves the LLC's tag range")]
     fn walk_past_the_tag_range_panics() {
         // 2^22 quotients of `tiny`'s 4 sets cover a home's first 2^24 lines.
-        let _ = tiny().walk((1 << 24) - 2, 3);
+        let _ = tiny().runs((1 << 24) - 2, 3);
     }
 
     #[test]

@@ -464,9 +464,7 @@ impl MemSystem {
             // of its own node cannot hit, so its walk is skipped.
             let llc = &self.llcs[home.0];
             let hit_lines = if llc.holds_home(home) {
-                llc.walk(addr.line(), lines)
-                    .filter(|&(tag, set)| llc.peek_at(set, tag).is_some())
-                    .count() as u64
+                llc.resident_of(addr.line(), lines)
             } else {
                 0
             };
@@ -674,9 +672,7 @@ impl MemSystem {
     fn invalidate_copies(&mut self, first: u64, lines: u64, home: NodeId, keep: Option<NodeId>) {
         for (node, llc) in self.llcs.iter_mut().enumerate() {
             if Some(NodeId(node)) != keep && llc.holds_home(home) {
-                for (tag, set) in llc.walk(first, lines) {
-                    llc.invalidate_at(set, tag);
-                }
+                llc.invalidate_lines(first, lines);
             }
         }
     }

@@ -6,7 +6,9 @@
 //! warms the stall memo with the exact access shapes it then measures, and
 //! asserts zero allocations across walks that evict on every line, both
 //! when no peer LLC holds lines of the walked home (the snoops are
-//! skipped) and when one does (they run).
+//! skipped) and when one does (they run). The invalidation walks run in
+//! the DDIO and node-1 device writes, and the resident-count walk in a
+//! local device read of a buffer the home LLC holds.
 //!
 //! Single test in this binary on purpose: the allocator counter is
 //! process-wide.
@@ -27,10 +29,12 @@ const CACHE_BYTES: u64 = 16 * 4 * 64;
 /// the DDIO write evicts the fill's lines and then its own, the CPU write
 /// evicts what those two left, and the read evicts the CPU write's lines.
 ///
-/// With `peer_reads`, a node-1 CPU reads each buffer before node 0 walks
-/// it, so node 0's walks must snoop node 1's copies, and a node-1 device
-/// then writes the last buffer, which both LLCs hold: a non-DDIO write
-/// with two invalidation passes.
+/// A node-0 device then reads the last buffer, which the node-0 LLC holds,
+/// so the local `dma_read` counts its resident lines. With `peer_reads`, a
+/// node-1 CPU reads each buffer before node 0 walks it, so node 0's walks
+/// must snoop node 1's copies, and a node-1 device then writes the last
+/// buffer, which both LLCs hold: a non-DDIO write with two invalidation
+/// passes.
 fn round(m: &mut MemSystem, ms: &mut u64, peer_reads: bool) {
     let (n0, n1) = (NodeId(0), NodeId(1));
     let mut buf = PhysAddr(0);
@@ -57,8 +61,11 @@ fn round(m: &mut MemSystem, ms: &mut u64, peer_reads: bool) {
             }
         }
     }
+    assert!(m.peek_line(n0, buf).is_some(), "node 0 holds the buffer");
+    *ms += 1;
+    m.dma_read(Time::from_ms(*ms), n0, buf, CACHE_BYTES);
     if peer_reads {
-        assert!(m.peek_line(n0, buf).is_some() && m.peek_line(n1, buf).is_some());
+        assert!(m.peek_line(n1, buf).is_some(), "node 1 holds the buffer");
         *ms += 1;
         m.dma_write(Time::from_ms(*ms), n1, buf, CACHE_BYTES);
     }

@@ -1,14 +1,15 @@
 //! Differential test of the multi-line LLC walks.
 //!
-//! `cpu_read`, `cpu_write`, `dma_read` and `dma_write` walk their lines with
-//! a set cursor: one division for the first line's set, then a wrap-around
-//! step per line, shared by every socket's LLC. Issuing the same lines one
-//! call per line locates each set from scratch, so the two must agree on
-//! every byte counter and on the cached state of every line. The cache has
-//! 16 sets and calls span up to 80 lines, so most multi-line calls wrap
-//! the set index, several times over for the longest. Each wrap also moves
-//! the walk's 32-bit tag to the next set-ring quotient; the second test
-//! runs those increments from a node-1 buffer that starts mid-ring.
+//! `cpu_read`, `cpu_write`, `dma_read` and `dma_write` walk their lines in
+//! runs of consecutive sets: one division for the first line's set, then a
+//! new run at each wrap of the set ring, shared by every socket's LLC.
+//! Issuing the same lines one call per line locates each set from scratch,
+//! so the two must agree on every byte counter and on the cached state of
+//! every line. The cache has 16 sets and calls span up to 80 lines, so most
+//! multi-line calls wrap the set index, several times over for the longest.
+//! Each wrap also moves the walk's 32-bit tag to the next set-ring
+//! quotient; the second test runs those increments from a node-1 buffer
+//! that starts mid-ring.
 
 use memsys::cache::LineState;
 use memsys::{AccessKind, Counters, LlcConfig, MemConfig, MemSystem, NodeId, PhysAddr};

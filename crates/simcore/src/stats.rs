@@ -202,11 +202,6 @@ impl BusyMeter {
         self.busy += d;
     }
 
-    /// Total accumulated busy time.
-    pub fn busy_time(&self) -> Dur {
-        self.busy
-    }
-
     /// Utilization in `[0, ..]` over `[from, to]` — can exceed 1.0 when used
     /// to aggregate several cores.
     pub fn utilization(&self, from: Time, to: Time) -> f64 {
@@ -302,7 +297,7 @@ mod tests {
         let u = b.utilization(Time::ZERO, Time::from_ms(10));
         assert!((u - 0.5).abs() < 1e-12);
         b.reset();
-        assert_eq!(b.busy_time(), Dur::ZERO);
+        assert_eq!(b.utilization(Time::ZERO, Time::from_ms(10)), 0.0);
     }
 
     #[test]
