@@ -22,22 +22,21 @@ pub fn header(fig: &str, caption: &str) {
     println!("==================================================================");
 }
 
-/// Prints the closing footer with wall-clock cost and the self-profiled
-/// event throughput since the header. Drains the event counter the
-/// experiment runners credit through `ioctopus::perf`.
+/// Prints the closing footer with the wall-clock milliseconds, the exact
+/// event count and the event throughput since the header. Drains the
+/// event counter the experiment runners credit through `ioctopus::perf`.
 pub fn footer(started: Instant) {
     let secs = started.elapsed().as_secs_f64();
+    let ms = secs * 1e3;
     let events = ioctopus::perf::take_events();
     if events > 0 && secs > 0.0 {
         println!(
-            "--------------------- [{:.1}s wall-clock | {:.1}M events | {:.1}M events/s | {} workers]\n",
-            secs,
-            events as f64 / 1e6,
+            "--------------------- [{ms:.1} ms wall-clock | {events} events | {:.2}M events/s | {} workers]\n",
             events as f64 / 1e6 / secs,
             simcore::pool::worker_count(usize::MAX),
         );
     } else {
-        println!("------------------------------------------------ [{secs:.1}s wall-clock]\n");
+        println!("------------------------------------------------ [{ms:.1} ms wall-clock]\n");
     }
 }
 

@@ -218,7 +218,8 @@ pub struct Host {
     rx_pools: Vec<BufPool>,
     tx_pools: Vec<BufPool>,
     /// Per-queue FIFO of in-flight Tx buffers: `(kernel buffer to recycle —
-    /// `None` for zero-copy sendfile pages, socket, bytes)`.
+    /// `None` for zero-copy sendfile pages, socket, bytes)`. Empty, and
+    /// without storage, until the queue first sends.
     tx_pending: Vec<VecDeque<(Option<PhysAddr>, SockId, u64)>>,
     /// Sockets whose steering should move to a new queue once their old
     /// queue drains: old queue → (socket, desired queue).
@@ -280,6 +281,7 @@ impl Host {
                           rx_pools: &mut Vec<BufPool>|
          -> QueueId {
             let entries = nic.config().ring_entries as u64;
+            let cq_entries = nic.config().cq_entries() as u64;
             // §2.4's ablation moves only the *response* (completion) rings
             // next to the device's I/O controller; request rings stay with
             // the CPU ("a response ring ... allocated locally to the device
@@ -290,9 +292,9 @@ impl Host {
                 node
             };
             let tx = mem.alloc(node, DESC_BYTES * entries);
-            let txc = mem.alloc(cq_node, CQE_BYTES * entries * 4);
+            let txc = mem.alloc(cq_node, CQE_BYTES * cq_entries);
             let rx = mem.alloc(node, DESC_BYTES * entries);
-            let rxc = mem.alloc(cq_node, CQE_BYTES * entries * 4);
+            let rxc = mem.alloc(cq_node, CQE_BYTES * cq_entries);
             let q = nic.attach_queue(
                 QueueConfig {
                     pf,
@@ -642,7 +644,7 @@ impl Host {
                 AccessKind::Pointer,
             );
             t = self.cores.run(core, t, dw);
-            self.tx_pending[q.0].push_back((Some(kbuf), sock, chunk));
+            self.push_tx_pending(q, (Some(kbuf), sock, chunk));
         }
         {
             let s = self.sockets.get_mut(sock);
@@ -737,7 +739,7 @@ impl Host {
                 AccessKind::Pointer,
             );
             t = self.cores.run(core, t, dw);
-            self.tx_pending[q.0].push_back((None, sock, len));
+            self.push_tx_pending(q, (None, sock, len));
         }
         {
             let s = self.sockets.get_mut(sock);
@@ -747,6 +749,19 @@ impl Host {
         t = self.cores.run(core, t, costs.doorbell);
         self.ring_doorbell(t, now, node, q, out);
         SendOutcome::Sent { done_at: t }
+    }
+
+    /// Appends an in-flight Tx entry to `q`'s FIFO. An entry lives from its
+    /// descriptor's post until its completion is reaped, so the first push
+    /// reserves a full Tx ring (the send paths' back-pressure bound) plus a
+    /// full Tx CQ, and the FIFO does not grow after that.
+    fn push_tx_pending(&mut self, q: QueueId, entry: (Option<PhysAddr>, SockId, u64)) {
+        let pending = &mut self.tx_pending[q.0];
+        if pending.capacity() == 0 {
+            let nic = self.nic.config();
+            pending.reserve_exact(nic.ring_entries + nic.cq_entries());
+        }
+        pending.push_back(entry);
     }
 
     /// Rings `q`'s doorbell at `t` (posted MMIO) and appends the NIC's

@@ -150,13 +150,14 @@ fn to_front(words: &mut [u32], at: usize, word: u32) {
 
 /// Counts out `old`, a line a walk over `home`'s lines evicts: a line of
 /// `home` in the walk's `resident` and `dirty` locals, one of another home
-/// in `home_lines` and `writebacks` at once.
+/// in `home_lines` and `writebacks` at once, and in `spilled` if dirty.
 #[inline(always)]
 fn evict(
     old: u32,
     home: usize,
     resident: &mut u32,
     dirty: &mut u64,
+    spilled: &mut u64,
     home_lines: &mut [u32],
     writebacks: &mut [u64],
 ) {
@@ -168,6 +169,7 @@ fn evict(
     } else {
         home_lines[old_home] -= 1;
         writebacks[old_home] += old_dirty;
+        *spilled += old_dirty;
     }
 }
 
@@ -293,9 +295,10 @@ impl Llc {
     /// A CPU of this LLC's socket reads (or, with `write`, writes) the
     /// `lines` lines from `first`, all of one home; `before` and `after`
     /// are the machine's other LLCs, in node order around this one.
-    /// Returns the `(hit, miss, c2c)` line counts: lines found here, lines
-    /// served from home memory, and lines forwarded from a peer's dirty
-    /// copy. Dirty lines to write back are added to `writebacks` by home.
+    /// Returns the `(hit, miss, c2c, dirty)` line counts: lines found here,
+    /// lines served from home memory, lines forwarded from a peer's dirty
+    /// copy, and dirty lines to write back, which are also added to
+    /// `writebacks` by home.
     ///
     /// A hit moves to the front of its set; a write hit becomes `Modified`
     /// and leaves the DDIO partition, and every peer that holds a line of
@@ -318,7 +321,7 @@ impl Llc {
         lines: u64,
         write: bool,
         writebacks: &mut [u64],
-    ) -> (u64, u64, u64) {
+    ) -> (u64, u64, u64, u64) {
         let home = (first >> HOME_LINE_SHIFT) as usize;
         let snoop = before
             .iter()
@@ -352,13 +355,13 @@ impl Llc {
         first: u64,
         lines: u64,
         writebacks: &mut [u64],
-    ) -> (u64, u64, u64) {
+    ) -> (u64, u64, u64, u64) {
         let home = (first >> HOME_LINE_SHIFT) as usize;
         let ways = self.cfg.ways;
         let flags = if WRITE { DIRTY } else { 0 };
         let (mut miss, mut c2c) = (0, 0);
         let mut resident = self.home_lines[home];
-        let mut dirty = 0;
+        let (mut dirty, mut spilled) = (0, 0);
         for (tag, sets) in self.runs(first, lines) {
             let word = tag << TAG_SHIFT | flags;
             let mut set = sets.start;
@@ -413,7 +416,15 @@ impl Llc {
                     resident += 1;
                     if n == ways {
                         let (old, home_lines) = (held, &mut self.home_lines);
-                        evict(old, home, &mut resident, &mut dirty, home_lines, writebacks);
+                        evict(
+                            old,
+                            home,
+                            &mut resident,
+                            &mut dirty,
+                            &mut spilled,
+                            home_lines,
+                            writebacks,
+                        );
                     } else {
                         words[n] = held;
                         *len += 1;
@@ -430,24 +441,24 @@ impl Llc {
         self.misses += miss + c2c;
         self.home_lines[home] = resident;
         writebacks[home] += dirty;
-        (hit, miss, c2c)
+        (hit, miss, c2c, dirty + spilled)
     }
 
     /// A device DMA-writes the `lines` lines from `first`, all of one home,
     /// into this LLC's DDIO ways: a resident line moves to the front of its
     /// set and becomes `Modified` and DDIO; a missing one fills the front
     /// as such, over the partition's victim. Dirty victims are added to
-    /// `writebacks` by home.
+    /// `writebacks` by home; returns how many there were.
     ///
     /// One forward pass per set finds the line, or else the partition's
     /// victim: its LRU line, the set's last DDIO word, once it holds
     /// `ddio_ways` lines, and otherwise where a CPU fill would go, a free
     /// way or the set's last word.
-    pub(crate) fn ddio_fill(&mut self, first: u64, lines: u64, writebacks: &mut [u64]) {
+    pub(crate) fn ddio_fill(&mut self, first: u64, lines: u64, writebacks: &mut [u64]) -> u64 {
         let home = (first >> HOME_LINE_SHIFT) as usize;
         let (ways, ddio_ways) = (self.cfg.ways, self.cfg.ddio_ways);
         let mut resident = self.home_lines[home];
-        let mut dirty = 0;
+        let (mut dirty, mut spilled) = (0, 0);
         for (tag, sets) in self.runs(first, lines) {
             let word = tag << TAG_SHIFT | DIRTY | DDIO;
             let run = &mut self.words[sets.start * ways..sets.end * ways];
@@ -475,7 +486,15 @@ impl Llc {
                         resident += 1;
                         if at < n {
                             let (old, home_lines) = (words[at], &mut self.home_lines);
-                            evict(old, home, &mut resident, &mut dirty, home_lines, writebacks);
+                            evict(
+                                old,
+                                home,
+                                &mut resident,
+                                &mut dirty,
+                                &mut spilled,
+                                home_lines,
+                                writebacks,
+                            );
                         } else {
                             *len += 1;
                         }
@@ -487,6 +506,7 @@ impl Llc {
         }
         self.home_lines[home] = resident;
         writebacks[home] += dirty;
+        dirty + spilled
     }
 
     /// Drops this LLC's copies of the `lines` lines from `first`, all of
@@ -605,7 +625,7 @@ mod tests {
 
     /// A CPU of `c`'s socket reads or writes the line at `addr`; there
     /// are no peers.
-    fn cpu(c: &mut Llc, addr: PhysAddr, write: bool, wb: &mut [u64]) -> (u64, u64, u64) {
+    fn cpu(c: &mut Llc, addr: PhysAddr, write: bool, wb: &mut [u64]) -> (u64, u64, u64, u64) {
         c.cpu_walk(&mut [], &mut [], addr.line(), 1, write, wb)
     }
 
@@ -632,7 +652,7 @@ mod tests {
         lines: u64,
         write: bool,
         writebacks: &mut [u64],
-    ) -> (u64, u64, u64) {
+    ) -> (u64, u64, u64, u64) {
         let (before, rest) = llcs.split_at_mut(node);
         let (llc, after) = rest.split_first_mut().expect("node has an LLC");
         llc.cpu_walk(before, after, first, lines, write, writebacks)
@@ -665,8 +685,8 @@ mod tests {
         let mut wb = [0; 2];
         let a = PhysAddr(0);
         assert_eq!(c.peek(a), None);
-        assert_eq!(cpu(&mut c, a, false, &mut wb), (0, 1, 0));
-        assert_eq!(cpu(&mut c, a, false, &mut wb), (1, 0, 0));
+        assert_eq!(cpu(&mut c, a, false, &mut wb), (0, 1, 0, 0));
+        assert_eq!(cpu(&mut c, a, false, &mut wb), (1, 0, 0, 0));
         assert_eq!(c.peek(a), Some(LineState::Shared));
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
@@ -852,7 +872,9 @@ mod tests {
                 let write = r.chance(0.5);
                 let lines = 1 + r.below(8);
                 match r.below(10) {
-                    0..=3 => c.ddio_fill(line, lines, &mut writebacks),
+                    0..=3 => {
+                        c.ddio_fill(line, lines, &mut writebacks);
+                    }
                     4..=6 => {
                         c.cpu_walk(&mut [], &mut [], line, lines, write, &mut writebacks);
                     }
@@ -1157,12 +1179,13 @@ mod tests {
     /// `ddio_fill` and once, line by line, through the stamp oracle. After
     /// every walk each set's resident words must be the oracle's lines
     /// sorted newest first, and the residency counts, hits, misses,
-    /// writebacks and returned counts must agree. Walks cover up to
-    /// `max_lines` of each home's first `universe` lines, which share the
-    /// cache's sets, so fills evict lines of other homes; other nodes'
-    /// reads and writes leave `Shared` and `Modified` copies for the walks
-    /// to snoop and invalidate, through `invalidate_lines` before a DDIO
-    /// write. After every walk each LLC's `resident_of` over the walk's
+    /// writebacks and returned counts must agree; the dirty-line count a
+    /// walk returns must be the lines it added to the writebacks. Walks
+    /// cover up to `max_lines` of each home's first `universe` lines, which
+    /// share the cache's sets, so fills evict lines of other homes; other
+    /// nodes' reads and writes leave `Shared` and `Modified` copies for the
+    /// walks to snoop and invalidate, through `invalidate_lines` before a
+    /// DDIO write. After every walk each LLC's `resident_of` over the walk's
     /// lines must count the oracle's resident ones. Full-set CPU
     /// evictions, evictions of another home's line, deep DDIO victims,
     /// DDIO fills into a partition with room, and CPU walks with and
@@ -1182,9 +1205,10 @@ mod tests {
                     let lines = 1 + r.below(max_lines);
                     let first = (home << HOME_LINE_SHIFT) + r.below(universe + 1 - lines);
                     let span = first..first + lines;
+                    let owed: u64 = oracle_wb.iter().sum();
                     // A DDIO write fills the home's LLC, as a device on
                     // the home node does; a CPU walk runs on any node.
-                    if r.chance(0.25) {
+                    let dirty = if r.chance(0.25) {
                         let node = home as usize;
                         // The other LLCs' copies go first, as in `dma_write`.
                         for (peer, llc) in walked.iter_mut().enumerate() {
@@ -1192,7 +1216,7 @@ mod tests {
                                 llc.invalidate_lines(first, lines);
                             }
                         }
-                        walked[node].ddio_fill(first, lines, &mut walked_wb);
+                        let dirty = walked[node].ddio_fill(first, lines, &mut walked_wb);
                         for line in span.clone() {
                             for (peer, llc) in oracle.iter_mut().enumerate() {
                                 if peer != node {
@@ -1201,6 +1225,7 @@ mod tests {
                             }
                             oracle[node].ddio_line(line, &mut oracle_wb);
                         }
+                        dirty
                     } else {
                         let node = r.below(nodes as u64) as usize;
                         let write = r.chance(0.5);
@@ -1212,7 +1237,7 @@ mod tests {
                         } else {
                             seen.private_walks += 1;
                         }
-                        let counts =
+                        let (hit, miss, c2c, dirty) =
                             cpu_walk_from(&mut walked, node, first, lines, write, &mut walked_wb);
                         let mut want = (0, 0, 0);
                         for line in span.clone() {
@@ -1220,8 +1245,11 @@ mod tests {
                                 cpu_line(&mut oracle, node, line, write, &mut oracle_wb);
                             want = (want.0 + h, want.1 + m, want.2 + c);
                         }
-                        assert_eq!(counts, want, "{at}: (hit, miss, c2c)");
-                    }
+                        assert_eq!((hit, miss, c2c), want, "{at}: (hit, miss, c2c)");
+                        dirty
+                    };
+                    let added = oracle_wb.iter().sum::<u64>() - owed;
+                    assert_eq!(dirty, added, "{at}: returned dirty lines");
                     for (w, o) in walked.iter().zip(&oracle) {
                         assert_same(w, o, &at);
                         let held = span.clone().filter(|&line| o.find(line).is_some());

@@ -202,7 +202,8 @@ pub struct MemSystem {
     alloc: PhysAllocator,
     memo: StallMemo,
     /// Dirty lines a walk evicts, per home node, until
-    /// [`flush_writebacks`](Self::flush_writebacks) charges them.
+    /// [`flush_writebacks`](Self::flush_writebacks) charges them. All zero
+    /// between walks, so a walk that evicts no dirty line skips the flush.
     writebacks: Vec<u64>,
 }
 
@@ -303,7 +304,7 @@ impl MemSystem {
         let lines = addr.lines_spanned(len);
         let (before, rest) = self.llcs.split_at_mut(node.0);
         let (llc, after) = rest.split_first_mut().expect("the node has an LLC");
-        let (hit_lines, miss_lines, c2c_lines) = llc.cpu_walk(
+        let (hit_lines, miss_lines, c2c_lines, dirty_lines) = llc.cpu_walk(
             before,
             after,
             addr.line(),
@@ -322,7 +323,9 @@ impl MemSystem {
         let idle = miss_bytes == 0
             || (self.dram[home.0].read_queue_delay(now) == Dur::ZERO
                 && (home == node || self.qpi.queue_delay(now, home, node) == Dur::ZERO));
-        self.flush_writebacks(now, node);
+        if dirty_lines > 0 {
+            self.flush_writebacks(now, node);
+        }
         // Given the walk's classification, the stall arithmetic is pure when
         // the links are idle — except for cache-to-cache transfers, whose
         // peer snoop loop stays on the slow path.
@@ -553,8 +556,9 @@ impl MemSystem {
             // Peers first: the passes touch only peers and the fill only the
             // home LLC, so the order changes no state.
             self.invalidate_copies(addr.line(), lines, home, Some(home));
-            self.llcs[home.0].ddio_fill(addr.line(), lines, &mut self.writebacks);
-            self.flush_writebacks(now, home);
+            if self.llcs[home.0].ddio_fill(addr.line(), lines, &mut self.writebacks) > 0 {
+                self.flush_writebacks(now, home);
+            }
             // The stall is pure in `lines` (no bandwidth server on this
             // path), so the memo needs no idleness gate.
             let key = StallMemo::key(MEMO_DMA_WRITE_DDIO, home.0, 0, lines);

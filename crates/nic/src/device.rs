@@ -74,6 +74,13 @@ impl NicConfig {
             ..Self::standard_100g()
         }
     }
+
+    /// Completion-queue capacity, four times the work rings: buffers
+    /// recycle through the rings faster than NAPI drains under bursts, so
+    /// more completions than ring slots can be outstanding.
+    pub fn cq_entries(&self) -> usize {
+        self.ring_entries * 4
+    }
 }
 
 /// Static configuration of one queue pair.
@@ -542,17 +549,14 @@ impl Nic {
         rx_cq_base: PhysAddr,
     ) -> QueueId {
         assert!(cfg.pf.0 < self.pf_count, "queue references unknown PF");
-        let n = self.cfg.ring_entries;
+        let (n, cq) = (self.cfg.ring_entries, self.cfg.cq_entries());
         let id = QueueId(self.queues.len());
-        // Completion queues are sized 4x the work rings: buffers recycle
-        // through the rings faster than NAPI drains under bursts, so more
-        // completions than ring slots can be outstanding.
         self.queues.push(Queue {
             cfg,
             tx_ring: DescRing::new(tx_ring_base, DESC_BYTES, n),
-            tx_cq: DescRing::new(tx_cq_base, CQE_BYTES, n * 4),
+            tx_cq: DescRing::new(tx_cq_base, CQE_BYTES, cq),
             rx_ring: DescRing::new(rx_ring_base, DESC_BYTES, n),
-            rx_cq: DescRing::new(rx_cq_base, CQE_BYTES, n * 4),
+            rx_cq: DescRing::new(rx_cq_base, CQE_BYTES, cq),
             irq_armed: true,
             busy_until: Time::ZERO,
             rx_bufs_lost: 0,

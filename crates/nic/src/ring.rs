@@ -6,26 +6,34 @@
 //! tracking the *addresses* of its slots so both sides can charge the memory
 //! system for their accesses: the OS `cpu_write`s a slot before ringing the
 //! doorbell; the device `dma_read`s it before processing.
+//!
+//! Entries occupy consecutive slots from `head`, so no entry stores its
+//! slot. The deque takes host memory only at the first post, and then the
+//! ring's whole capacity at once: the driver builds rings for every core on
+//! every PF and most of them never carry an entry, while a ring that does
+//! never grows again.
 
 use std::collections::VecDeque;
 
 use memsys::PhysAddr;
 
 /// A cyclic descriptor ring in host memory.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DescRing<T> {
     base: PhysAddr,
     entry_bytes: u64,
     capacity: usize,
+    /// The oldest outstanding entry's slot; the next post takes the slot
+    /// `entries.len()` after it.
     head: usize,
-    entries: VecDeque<(usize, T)>,
+    entries: VecDeque<T>,
     posted_total: u64,
     consumed_total: u64,
 }
 
 impl<T> DescRing<T> {
     /// Creates a ring of `capacity` slots of `entry_bytes` each, backed by
-    /// host memory at `base`.
+    /// host memory at `base`. Allocates nothing until the first post.
     ///
     /// # Panics
     /// Panics if `capacity` or `entry_bytes` is zero.
@@ -37,7 +45,7 @@ impl<T> DescRing<T> {
             entry_bytes,
             capacity,
             head: 0,
-            entries: VecDeque::with_capacity(capacity),
+            entries: VecDeque::new(),
             posted_total: 0,
             consumed_total: 0,
         }
@@ -48,53 +56,64 @@ impl<T> DescRing<T> {
         self.entry_bytes * self.capacity as u64
     }
 
-    /// The host address of slot `idx`.
-    pub fn slot_addr(&self, idx: usize) -> PhysAddr {
-        self.base
-            .offset((idx % self.capacity) as u64 * self.entry_bytes)
+    /// The slot `n` places after `slot`, for `slot, n < capacity`.
+    fn wrap(&self, slot: usize, n: usize) -> usize {
+        let next = slot + n;
+        if next >= self.capacity {
+            next - self.capacity
+        } else {
+            next
+        }
+    }
+
+    /// The host address of slot `slot`.
+    fn slot_addr(&self, slot: usize) -> PhysAddr {
+        self.base.offset(slot as u64 * self.entry_bytes)
     }
 
     /// The slot address the *next* post will occupy (for charging the DMA
     /// before committing the entry), or `None` if the ring is full.
     pub fn next_slot_addr(&self) -> Option<PhysAddr> {
-        if self.entries.len() >= self.capacity {
+        let len = self.entries.len();
+        if len >= self.capacity {
             return None;
         }
-        Some(self.slot_addr((self.head + self.entries.len()) % self.capacity))
+        Some(self.slot_addr(self.wrap(self.head, len)))
     }
 
     /// Posts an entry at the producer position; returns the slot address the
     /// producer wrote (so it can charge the memory system), or `None` if the
     /// ring is full.
     pub fn post(&mut self, entry: T) -> Option<PhysAddr> {
-        if self.entries.len() >= self.capacity {
-            return None;
+        let addr = self.next_slot_addr()?;
+        if self.entries.capacity() == 0 {
+            self.entries.reserve_exact(self.capacity);
         }
-        let slot = (self.head + self.entries.len()) % self.capacity;
-        self.entries.push_back((slot, entry));
+        self.entries.push_back(entry);
         self.posted_total += 1;
-        Some(self.slot_addr(slot))
+        Some(addr)
     }
 
     /// Consumes the oldest entry; returns it with its slot address, or
     /// `None` if empty.
     pub fn consume(&mut self) -> Option<(PhysAddr, T)> {
-        let (slot, entry) = self.entries.pop_front()?;
-        self.head = (slot + 1) % self.capacity;
+        let entry = self.entries.pop_front()?;
+        let addr = self.slot_addr(self.head);
+        self.head = self.wrap(self.head, 1);
         self.consumed_total += 1;
-        Some((self.slot_addr(slot), entry))
+        Some((addr, entry))
     }
 
     /// Peeks at the oldest entry without consuming it.
     pub fn peek(&self) -> Option<&T> {
-        self.entries.front().map(|(_, e)| e)
+        self.entries.front()
     }
 
     /// Outstanding (posted but unconsumed) entries, oldest first. Audit
     /// code walks completion queues with this to count resources (e.g. Rx
     /// buffers) parked in CQEs the host has not reaped yet.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.entries.iter().map(|(_, e)| e)
+        self.entries.iter()
     }
 
     /// Outstanding (posted but unconsumed) entries.
@@ -197,6 +216,111 @@ mod tests {
         r.post(9);
         assert_eq!(r.peek(), Some(&9));
         assert_eq!(r.len(), 1);
+    }
+
+    #[test]
+    fn unposted_ring_holds_no_storage() {
+        let mut r = ring(1024);
+        assert_eq!(r.entries.capacity(), 0);
+        assert!(r.consume().is_none());
+        assert!(r.next_slot_addr().is_some());
+        assert_eq!(r.entries.capacity(), 0, "only a post takes storage");
+    }
+
+    #[test]
+    fn first_post_reserves_the_whole_ring() {
+        let cap = 5;
+        let mut r = ring(cap);
+        r.post(0).unwrap();
+        let reserved = r.entries.capacity();
+        assert!(reserved >= cap, "first post reserved {reserved} of {cap}");
+        // Fill, then cycle through several wraps at every fill level.
+        let mut next = 1;
+        while r.post(next).is_some() {
+            next += 1;
+        }
+        for round in 0..4 * cap {
+            for _ in 0..=round % cap {
+                r.consume().unwrap();
+            }
+            while r.post(next).is_some() {
+                next += 1;
+            }
+            assert!(r.is_full());
+            assert_eq!(r.entries.capacity(), reserved, "round {round} grew");
+        }
+        assert!(r.posted_total() > 3 * cap as u64, "must wrap several times");
+    }
+
+    /// The ring as it was when every entry stored its slot index and slots
+    /// wrapped with `%`: the reference for the slot-free ring.
+    struct SlotRing {
+        base: PhysAddr,
+        entry_bytes: u64,
+        capacity: usize,
+        head: usize,
+        entries: VecDeque<(usize, u32)>,
+    }
+
+    impl SlotRing {
+        fn slot_addr(&self, idx: usize) -> PhysAddr {
+            self.base
+                .offset((idx % self.capacity) as u64 * self.entry_bytes)
+        }
+
+        fn next_slot_addr(&self) -> Option<PhysAddr> {
+            if self.entries.len() >= self.capacity {
+                return None;
+            }
+            Some(self.slot_addr((self.head + self.entries.len()) % self.capacity))
+        }
+
+        fn post(&mut self, entry: u32) -> Option<PhysAddr> {
+            if self.entries.len() >= self.capacity {
+                return None;
+            }
+            let slot = (self.head + self.entries.len()) % self.capacity;
+            self.entries.push_back((slot, entry));
+            Some(self.slot_addr(slot))
+        }
+
+        fn consume(&mut self) -> Option<(PhysAddr, u32)> {
+            let (slot, entry) = self.entries.pop_front()?;
+            self.head = (slot + 1) % self.capacity;
+            Some((self.slot_addr(slot), entry))
+        }
+    }
+
+    #[test]
+    fn prop_matches_the_slot_storing_ring() {
+        let mut rng = SimRng::seed(0x5107);
+        for case in 0..64 {
+            let cap = 1 + rng.below(9) as usize;
+            let entry_bytes = [16, 64, 88][rng.below(3) as usize];
+            let base = PhysAddr(0x4000 * (1 + rng.below(64)));
+            let mut r = DescRing::new(base, entry_bytes, cap);
+            let mut oracle = SlotRing {
+                base,
+                entry_bytes,
+                capacity: cap,
+                head: 0,
+                entries: VecDeque::new(),
+            };
+            // Each case drifts towards posting or consuming, so schedules
+            // dwell both at full and at empty rings.
+            let p_post = 0.2 + 0.6 * rng.unit();
+            for step in 0..400u32 {
+                let at = format!("case {case} (cap {cap}) step {step}");
+                if rng.chance(p_post) {
+                    assert_eq!(r.post(step), oracle.post(step), "{at}: post");
+                } else {
+                    assert_eq!(r.consume(), oracle.consume(), "{at}: consume");
+                }
+                assert_eq!(r.next_slot_addr(), oracle.next_slot_addr(), "{at}");
+                assert_eq!(r.peek(), oracle.entries.front().map(|(_, e)| e), "{at}");
+                assert_eq!(r.len(), oracle.entries.len(), "{at}: len");
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! the queue, rings, and socket buffers reach a steady footprint during
 //! warmup. After that, running more simulated time must perform **zero**
 //! heap allocations — this test installs a counting global allocator and
-//! holds the line on two windows: a Figure 6 RxStream and the Figure 10
-//! key-value machine. If it starts failing, something on the hot path
-//! regained a per-event `Vec`/`Box` or a container that keeps growing.
+//! holds the line on three windows: a Figure 6 RxStream and the Figure 10
+//! key-value machine on the octoNIC and on the remote NIC. If it starts
+//! failing, something on the hot path regained a per-event `Vec`/`Box` or
+//! a container that keeps growing.
 //!
 //! Single test in this binary on purpose: the allocator counter is
 //! process-wide, and a lone test keeps the measurement windows quiet.
@@ -44,7 +45,8 @@ fn assert_no_allocations(what: &str, allocs: u64, events: u64) {
 #[test]
 fn steady_state_rx_stream_allocates_nothing() {
     rx_stream_window();
-    key_value_window();
+    key_value_window(Placement::Octopus, 100_000);
+    key_value_window(Placement::Remote, 80_000);
 }
 
 /// A Figure 6 receive stream at 16 KiB messages, 8 ms warmup, 8→14 ms.
@@ -87,12 +89,12 @@ fn rx_stream_window() {
 }
 
 /// The Figure 10 machine, built as `memcached::run` builds it: 14
-/// key-value connections on the octoNIC at 50% SET, warmed to 30 ms,
-/// measured over 30→60 ms. Fourteen connections keep many requests in
-/// flight at once, so this window also holds the event queue's footprint
-/// to a steady state.
-fn key_value_window() {
-    let p = Placement::Octopus;
+/// key-value connections on NIC placement `p` at 50% SET, warmed to 30 ms,
+/// measured over 30→60 ms, which must dispatch more than `min_events`
+/// events (181,891 on the octoNIC, 91,246 remote). Fourteen connections
+/// keep many requests in flight at once, so this window also holds the
+/// event queue's footprint to a steady state.
+fn key_value_window(p: Placement, min_events: u64) {
     let mut duplex = build_duplex(p, BuildOpts::default());
     let apps: Vec<_> = (0..CLIENTS)
         .map(|c| {
@@ -127,6 +129,9 @@ fn key_value_window() {
         done(&nl) > warm_done,
         "measurement window must serve requests"
     );
-    assert!(events > 100_000, "measurement window too small: {events}");
-    assert_no_allocations("key-value", allocs, events);
+    assert!(
+        events > min_events,
+        "measurement window too small: {events}"
+    );
+    assert_no_allocations(&format!("key-value {p:?}"), allocs, events);
 }
