@@ -1,8 +1,8 @@
 //! Figure 6: single-core TCP STREAM receive.
 
+use bench::write_csv;
 use ioctopus::config::Placement;
 use ioctopus::experiments::tcp_stream;
-use ioctopus::results::write_csv;
 use workloads::StreamConfig;
 
 fn main() {

@@ -1,8 +1,8 @@
 //! Figure 7: single-core TCP STREAM transmit (TSO enabled).
 
+use bench::write_csv;
 use ioctopus::config::Placement;
 use ioctopus::experiments::tcp_stream;
-use ioctopus::results::write_csv;
 use workloads::StreamConfig;
 
 fn main() {

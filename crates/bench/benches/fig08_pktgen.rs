@@ -1,8 +1,8 @@
 //! Figure 8: single-core pktgen packet throughput.
 
+use bench::write_csv;
 use ioctopus::config::Placement;
 use ioctopus::experiments::pktgen;
-use ioctopus::results::write_csv;
 
 fn main() {
     let t0 = std::time::Instant::now();

@@ -1,7 +1,7 @@
 //! Figure 9: TCP_RR latency, rr and llnd normalized to ll.
 
+use bench::write_csv;
 use ioctopus::experiments::tcp_rr::{self, RrConfig};
-use ioctopus::results::write_csv;
 use workloads::RrConfig as RrSizes;
 
 fn main() {

@@ -1,8 +1,8 @@
 //! Figure 10: memcached throughput and memory bandwidth vs SET ratio.
 
+use bench::write_csv;
 use ioctopus::config::Placement;
 use ioctopus::experiments::memcached;
-use ioctopus::results::write_csv;
 
 fn main() {
     let t0 = std::time::Instant::now();

@@ -1,8 +1,8 @@
 //! Figure 11: TCP Rx throughput co-located with STREAM pairs.
 
+use bench::write_csv;
 use ioctopus::config::Placement;
 use ioctopus::experiments::congestion;
-use ioctopus::results::write_csv;
 
 fn main() {
     let t0 = std::time::Instant::now();

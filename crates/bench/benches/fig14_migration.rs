@@ -1,7 +1,7 @@
 //! Figure 14: per-PF throughput across a thread migration.
 
+use bench::write_csv;
 use ioctopus::experiments::migration;
-use ioctopus::results::write_csv;
 
 fn main() {
     let t0 = std::time::Instant::now();

@@ -1,7 +1,7 @@
 //! Figure 15: fio vs STREAM instances on the NVMe testbed.
 
+use bench::write_csv;
 use ioctopus::experiments::nvme_fio;
-use ioctopus::results::write_csv;
 
 fn main() {
     let t0 = std::time::Instant::now();

@@ -15,19 +15,6 @@ use ioctopus::experiments::tcp_stream;
 /// overwrite path, large enough to keep a meaningful tail.
 const TRACE_CAP: usize = 1 << 14;
 
-fn artifact_dir() -> Option<std::path::PathBuf> {
-    let mut root = std::env::current_dir().ok()?;
-    while !root.join("Cargo.lock").exists() {
-        if !root.pop() {
-            root = std::env::current_dir().ok()?;
-            break;
-        }
-    }
-    let dir = root.join("target").join("telemetry");
-    std::fs::create_dir_all(&dir).ok()?;
-    Some(dir)
-}
-
 fn main() {
     let t0 = std::time::Instant::now();
     bench::header(
@@ -54,10 +41,9 @@ fn main() {
     );
     assert!(t.local_bytes() > 0);
 
-    // Exports: native, Chrome trace_event JSON, folded stacks.
+    // Exports: native and Chrome trace_event JSON.
     let native = telemetry::export::to_native(&telem.trace);
     let chrome = telemetry::export::to_chrome_json(&telem.trace);
-    let folded = telemetry::export::to_folded(&telem.trace);
     let events = telemetry::export::json::validate_chrome(&chrome)
         .expect("chrome export must satisfy the trace_event schema");
     println!("chrome export: {events} events, schema OK");
@@ -65,14 +51,10 @@ fn main() {
         telemetry::export::parse_native(&native).is_ok(),
         "native export must parse back"
     );
-    assert!(!folded.is_empty());
 
-    if let Some(dir) = artifact_dir() {
-        for (name, body) in [
-            ("fig07.trace", &native),
-            ("fig07.chrome.json", &chrome),
-            ("fig07.folded", &folded),
-        ] {
+    let dir = bench::repo_root().join("target").join("telemetry");
+    if std::fs::create_dir_all(&dir).is_ok() {
+        for (name, body) in [("fig07.trace", &native), ("fig07.chrome.json", &chrome)] {
             let p = dir.join(name);
             if std::fs::write(&p, body).is_ok() {
                 println!("[artifact] {}", p.display());

@@ -12,6 +12,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use ioctopus::experiments::chaos;
+use ioctopus::results::CsvRow;
 use simcore::campaign::{plan_for, shrink};
 use simcore::{CampaignConfig, FaultPlan};
 
@@ -55,7 +56,8 @@ pub fn json_strings(items: &[String]) -> String {
 }
 
 /// The workspace root — the nearest ancestor of the working directory that
-/// holds `Cargo.lock` — where the harnesses write their JSON artifacts.
+/// holds `Cargo.lock` — where the harnesses write their JSON, CSV and trace
+/// artifacts.
 /// Falls back to the working directory.
 pub fn repo_root() -> PathBuf {
     let mut root = std::env::current_dir().unwrap_or_default();
@@ -65,6 +67,23 @@ pub fn repo_root() -> PathBuf {
         }
     }
     root
+}
+
+/// Writes `rows` to `<repo root>/target/figures/<name>.csv`; best-effort
+/// (figure regeneration must not fail on a read-only filesystem). Returns
+/// the path written, if any.
+pub fn write_csv<T: CsvRow>(name: &str, rows: &[T]) -> Option<PathBuf> {
+    let dir = repo_root().join("target").join("figures");
+    std::fs::create_dir_all(&dir).ok()?;
+    let path = dir.join(format!("{name}.csv"));
+    let mut out = String::from(T::csv_header());
+    out.push('\n');
+    for r in rows {
+        out.push_str(&r.csv_row());
+        out.push('\n');
+    }
+    std::fs::write(&path, out).ok()?;
+    Some(path)
 }
 
 /// Renders a fault plan as a JSON array of `{at_ps, pf, kind}` objects.

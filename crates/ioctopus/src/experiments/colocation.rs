@@ -90,27 +90,11 @@ pub fn run(p: Placement, io: IoKind, pr_chunks: u64, deadline_ms: u64) -> Coloca
 
     let pr_time = nl.pagerank_done.map(|t| t.as_ms()).unwrap_or(f64::INFINITY);
     let secs = nl.now().as_secs();
+    // Bytes received (netperf) or operations completed (memcached).
+    let progress: u64 = app_idxs.iter().map(|&i| nl.app(i).progress()).sum();
     let io_metric = match io {
-        IoKind::Netperf => {
-            let bytes: u64 = app_idxs
-                .iter()
-                .map(|&i| match nl.app(i) {
-                    App::Rx(a) => a.consumed,
-                    _ => 0,
-                })
-                .sum();
-            bytes as f64 * 8.0 / 1e9 / secs
-        }
-        IoKind::Memcached => {
-            let done: u64 = app_idxs
-                .iter()
-                .map(|&i| match nl.app(i) {
-                    App::Kv(a) => a.done,
-                    _ => 0,
-                })
-                .sum();
-            done as f64 / secs / 1e3
-        }
+        IoKind::Netperf => progress as f64 * 8.0 / 1e9 / secs,
+        IoKind::Memcached => progress as f64 / secs / 1e3,
     };
     ColocationResult {
         config: p.label().to_string(),

@@ -17,7 +17,7 @@ use crate::netloop::{make_rr, make_rx_stream, App, NetLoop};
 use crate::results::{LatencyResult, ThroughputResult};
 use crate::system::build_duplex;
 
-use super::{gbps, Window};
+use super::{latency, run_window, throughput, Window};
 
 /// Installs `pairs` STREAM pairs, split across both sockets, skipping the
 /// netperf/sockperf cores (0 and 14).
@@ -51,32 +51,15 @@ pub fn run_fig11(p: Placement, pairs: usize, sim_ms: u64) -> ThroughputResult {
     nl.start_apps(Time::ZERO);
 
     let w = Window::of_ms(sim_ms);
-    nl.run(w.warmup);
-    nl.duplex.server.mem.reset_counters();
-    nl.duplex.server.cores.reset_meters();
-    let base = match nl.app(i) {
-        App::Rx(a) => a.consumed,
-        _ => unreachable!(),
-    };
-    nl.run(w.end);
-    crate::perf::note_events(nl.events_processed());
-    let consumed = match nl.app(i) {
-        App::Rx(a) => a.consumed - base,
-        _ => unreachable!(),
-    };
-    let cores = nl.duplex.server.mem.topology().total_cores();
-    ThroughputResult {
-        config: p.label().to_string(),
-        x: pairs as f64,
-        throughput_gbps: gbps(consumed, w),
-        membw_gbps: gbps(nl.duplex.server.mem.counters().total_dram_bytes(), w),
-        cpu_cores: nl
-            .duplex
-            .server
-            .cores
-            .utilization_of(0..cores, w.warmup, w.end),
-        rate_per_sec: consumed as f64 / 65536.0 / w.secs(),
-    }
+    let (consumed, _) = run_window(&mut nl, &[i], w);
+    throughput(
+        &nl,
+        w,
+        p.label(),
+        pairs as f64,
+        consumed,
+        consumed as f64 / 65536.0,
+    )
 }
 
 /// Figure 12: 64-byte UDP ping-pong latency under `pairs` STREAM pairs.
@@ -104,20 +87,10 @@ pub fn run_fig12(p: Placement, pairs: usize, transactions: usize) -> LatencyResu
     nl.start_apps(Time::ZERO);
     nl.run(Time::from_ms(400));
     crate::perf::note_events(nl.events_processed());
-    match nl.app(i) {
-        App::Rr(a) => {
-            let mut h = a.rtt.clone();
-            LatencyResult {
-                config: p.label().to_string(),
-                x: pairs as f64,
-                mean_us: h.mean().map(|d| d.as_us()).unwrap_or(f64::NAN),
-                p90_us: h.percentile(90.0).map(|d| d.as_us()).unwrap_or(f64::NAN),
-                p99_us: h.percentile(99.0).map(|d| d.as_us()).unwrap_or(f64::NAN),
-                transactions: a.done,
-            }
-        }
-        _ => unreachable!(),
-    }
+    let App::Rr(a) = nl.app(i) else {
+        unreachable!("app {i} is the ping-pong pair")
+    };
+    latency(p.label(), pairs as f64, a)
 }
 
 #[cfg(test)]

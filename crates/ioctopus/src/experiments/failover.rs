@@ -23,7 +23,7 @@ use simcore::{Dur, FaultPlan, Time};
 use crate::config::{BuildOpts, Placement};
 use crate::experiments::pf_rates;
 use crate::netloop::{make_rx_stream, App, NetLoop};
-use crate::results::{FailoverResult, PfSample};
+use crate::results::FailoverResult;
 use crate::system::build_duplex;
 
 /// Total simulated duration.
@@ -58,10 +58,7 @@ pub fn run(octo: bool) -> FailoverResult {
     nl.run(Time::ZERO + TOTAL);
     crate::perf::note_events(nl.events_processed());
 
-    let consumed = match nl.app(i) {
-        App::Rx(a) => a.consumed,
-        _ => unreachable!(),
-    };
+    let consumed = nl.app(i).progress();
     let nic = nl.duplex.server.nic.counters();
     let robust = nl.duplex.server.robustness();
     FailoverResult {
@@ -75,35 +72,15 @@ pub fn run(octo: bool) -> FailoverResult {
     }
 }
 
-/// Mean total (PF0+PF1) throughput over samples with `t` in `[a_ms, b_ms)`.
-pub fn mean_total(r: &FailoverResult, a_ms: f64, b_ms: f64) -> f64 {
-    let sel: Vec<&PfSample> = r
-        .samples
-        .iter()
-        .filter(|s| s.t_secs >= a_ms && s.t_secs < b_ms)
-        .collect();
-    if sel.is_empty() {
-        return 0.0;
-    }
-    sel.iter().map(|s| s.pf0_gbps + s.pf1_gbps).sum::<f64>() / sel.len() as f64
-}
-
-/// Mean PF1 throughput over the window (the survivor's share).
-pub fn mean_pf1(r: &FailoverResult, a_ms: f64, b_ms: f64) -> f64 {
-    let sel: Vec<&PfSample> = r
-        .samples
-        .iter()
-        .filter(|s| s.t_secs >= a_ms && s.t_secs < b_ms)
-        .collect();
-    if sel.is_empty() {
-        return 0.0;
-    }
-    sel.iter().map(|s| s.pf1_gbps).sum::<f64>() / sel.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::window_mean;
+
+    /// Mean total (PF0+PF1) throughput over `[a_ms, b_ms)`.
+    fn mean_total(r: &FailoverResult, a_ms: f64, b_ms: f64) -> f64 {
+        window_mean(&r.samples, a_ms, b_ms, |s| s.pf0_gbps + s.pf1_gbps)
+    }
 
     #[test]
     fn octonic_survives_pf_outage_and_recovers() {
@@ -118,7 +95,7 @@ mod tests {
         );
         // During the outage every byte rides PF1 — remote DMA for the
         // node-0 application (graceful degradation to NUDMA).
-        let pf1_during = mean_pf1(&r, 3.3, 5.8);
+        let pf1_during = window_mean(&r.samples, 3.3, 5.8, |s| s.pf1_gbps);
         assert!(pf1_during > 0.5, "PF1 carries the outage: {pf1_during:.2}");
         assert!(
             (after / before - 1.0).abs() < 0.05,

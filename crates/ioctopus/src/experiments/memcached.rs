@@ -15,7 +15,7 @@ use crate::netloop::{make_kv, App, NetLoop};
 use crate::results::ThroughputResult;
 use crate::system::build_duplex;
 
-use super::{gbps, Window};
+use super::{run_window, throughput, Window};
 
 /// Number of memslap client instances (one per client core).
 pub const CLIENTS: usize = 14;
@@ -53,38 +53,8 @@ pub fn run(p: Placement, set_ratio: f64, sim_ms: u64) -> ThroughputResult {
     nl.start_apps(Time::ZERO);
 
     let w = Window::of_ms(sim_ms);
-    nl.run(w.warmup);
-    nl.duplex.server.mem.reset_counters();
-    nl.duplex.server.cores.reset_meters();
-    let snapshot = |nl: &NetLoop, idxs: &[usize]| -> (u64, u64) {
-        let mut done = 0;
-        let mut bytes = 0;
-        for &i in idxs {
-            if let App::Kv(a) = nl.app(i) {
-                done += a.done;
-                let s = nl.duplex.server.socket(a.server_sock);
-                bytes += s.rx_bytes + s.tx_bytes;
-            }
-        }
-        (done, bytes)
-    };
-    let (done0, bytes0) = snapshot(&nl, &idxs);
-    nl.run(w.end);
-    crate::perf::note_events(nl.events_processed());
-    let (done1, bytes1) = snapshot(&nl, &idxs);
-    let cores = nl.duplex.server.mem.topology().total_cores();
-    ThroughputResult {
-        config: p.label().to_string(),
-        x: set_ratio * 100.0,
-        throughput_gbps: gbps(bytes1 - bytes0, w),
-        membw_gbps: gbps(nl.duplex.server.mem.counters().total_dram_bytes(), w),
-        cpu_cores: nl
-            .duplex
-            .server
-            .cores
-            .utilization_of(0..cores, w.warmup, w.end),
-        rate_per_sec: (done1 - done0) as f64 / w.secs(),
-    }
+    let (done, bytes) = run_window(&mut nl, &idxs, w);
+    throughput(&nl, w, p.label(), set_ratio * 100.0, bytes, done as f64)
 }
 
 #[cfg(test)]

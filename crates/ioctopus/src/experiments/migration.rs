@@ -18,9 +18,9 @@ use kernel::NetdevId;
 use simcore::{Dur, Time};
 
 use crate::config::{BuildOpts, Placement};
-use crate::experiments::pf_rates;
+use crate::experiments::{pf_rates, window_mean};
 use crate::netloop::{make_rx_stream, App, NetLoop};
-use crate::results::{MigrationResult, PfSample};
+use crate::results::MigrationResult;
 use crate::system::build_duplex;
 
 /// Total simulated duration (paper: 10 s).
@@ -63,18 +63,9 @@ pub fn run(octo: bool) -> MigrationResult {
 
 /// Mean PF throughputs `(pf0, pf1)` over samples with `t` in `[a_ms, b_ms)`.
 pub fn mean_rates(r: &MigrationResult, a_ms: f64, b_ms: f64) -> (f64, f64) {
-    let sel: Vec<&PfSample> = r
-        .samples
-        .iter()
-        .filter(|s| s.t_secs >= a_ms && s.t_secs < b_ms)
-        .collect();
-    if sel.is_empty() {
-        return (0.0, 0.0);
-    }
-    let n = sel.len() as f64;
     (
-        sel.iter().map(|s| s.pf0_gbps).sum::<f64>() / n,
-        sel.iter().map(|s| s.pf1_gbps).sum::<f64>() / n,
+        window_mean(&r.samples, a_ms, b_ms, |s| s.pf0_gbps),
+        window_mean(&r.samples, a_ms, b_ms, |s| s.pf1_gbps),
     )
 }
 

@@ -16,7 +16,7 @@ use crate::netloop::{make_rx_stream, App, NetLoop};
 use crate::results::ThroughputResult;
 use crate::system::build_duplex;
 
-use super::{gbps, Window};
+use super::{run_window, throughput, Window};
 
 /// Runs `instances` single-flow netperf Rx instances, one per server core.
 ///
@@ -53,39 +53,15 @@ pub fn run_rx(p: Placement, instances: usize, sim_ms: u64) -> ThroughputResult {
     nl.start_apps(Time::ZERO);
 
     let w = Window::of_ms(sim_ms);
-    nl.run(w.warmup);
-    nl.duplex.server.mem.reset_counters();
-    nl.duplex.server.cores.reset_meters();
-    let base: u64 = idxs
-        .iter()
-        .map(|&i| match nl.app(i) {
-            App::Rx(a) => a.consumed,
-            _ => 0,
-        })
-        .sum();
-    nl.run(w.end);
-    crate::perf::note_events(nl.events_processed());
-    let consumed: u64 = idxs
-        .iter()
-        .map(|&i| match nl.app(i) {
-            App::Rx(a) => a.consumed,
-            _ => 0,
-        })
-        .sum::<u64>()
-        - base;
-    let cores = nl.duplex.server.mem.topology().total_cores();
-    ThroughputResult {
-        config: p.label().to_string(),
-        x: instances as f64,
-        throughput_gbps: gbps(consumed, w),
-        membw_gbps: gbps(nl.duplex.server.mem.counters().total_dram_bytes(), w),
-        cpu_cores: nl
-            .duplex
-            .server
-            .cores
-            .utilization_of(0..cores, w.warmup, w.end),
-        rate_per_sec: consumed as f64 / 65536.0 / w.secs(),
-    }
+    let (consumed, _) = run_window(&mut nl, &idxs, w);
+    throughput(
+        &nl,
+        w,
+        p.label(),
+        instances as f64,
+        consumed,
+        consumed as f64 / 65536.0,
+    )
 }
 
 #[cfg(test)]

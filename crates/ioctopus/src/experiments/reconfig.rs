@@ -28,7 +28,7 @@ use kernel::NetdevId;
 use simcore::{Dur, FaultKind, FaultPlan, Time};
 
 use crate::config::{BuildOpts, Placement};
-use crate::experiments::pf_rates;
+use crate::experiments::{pf_rates, window_mean};
 use crate::netloop::{make_rx_stream, App, NetLoop};
 use crate::results::{LocalityWindow, PfSample, ReconfigResult};
 use crate::system::build_duplex;
@@ -75,19 +75,17 @@ pub fn run() -> ReconfigResult {
     let at_end = pause(&nl);
     let locality = at_end.table.clone();
 
-    let consumed = match nl.app(i) {
-        App::Rx(a) => a.consumed,
-        _ => unreachable!(),
-    };
+    let consumed = nl.app(i).progress();
     let samples = pf_rates(&nl.samples);
     let robust = nl.duplex.server.robustness();
     let nic = nl.duplex.server.nic.counters();
 
     let remove_ms = REMOVE_AT.as_secs() * 1e3;
     let readd_ms = READD_AT.as_secs() * 1e3;
-    let healthy = mean_total(&samples, 1.0, remove_ms - 0.1);
-    let degraded = mean_pf1(&samples, remove_ms + 0.3, readd_ms - 0.2);
-    let recovered = mean_total(&samples, readd_ms + 1.0, 9.5);
+    let total = |s: &PfSample| s.pf0_gbps + s.pf1_gbps;
+    let healthy = window_mean(&samples, 1.0, remove_ms - 0.1, total);
+    let degraded = window_mean(&samples, remove_ms + 0.3, readd_ms - 0.2, |s| s.pf1_gbps);
+    let recovered = window_mean(&samples, readd_ms + 1.0, 9.5, total);
     ReconfigResult {
         config: "octoNIC".to_string(),
         remove_to_survivor_us: latency_us(&samples, remove_ms, |s| s.pf1_gbps),
@@ -148,28 +146,6 @@ fn latency_us(samples: &[PfSample], from_ms: f64, rate: impl Fn(&PfSample) -> f6
         .iter()
         .find(|s| s.t_secs >= from_ms && rate(s) > CARRY_FLOOR)
         .map_or(f64::INFINITY, |s| (s.t_secs - from_ms) * 1e3)
-}
-
-/// Mean total (PF0+PF1) throughput over samples with `t` in `[a_ms, b_ms)`.
-fn mean_total(samples: &[PfSample], a_ms: f64, b_ms: f64) -> f64 {
-    mean_by(samples, a_ms, b_ms, |s| s.pf0_gbps + s.pf1_gbps)
-}
-
-/// Mean PF1 throughput over the window (the survivor's share).
-fn mean_pf1(samples: &[PfSample], a_ms: f64, b_ms: f64) -> f64 {
-    mean_by(samples, a_ms, b_ms, |s| s.pf1_gbps)
-}
-
-fn mean_by(samples: &[PfSample], a_ms: f64, b_ms: f64, f: impl Fn(&PfSample) -> f64) -> f64 {
-    let sel: Vec<f64> = samples
-        .iter()
-        .filter(|s| s.t_secs >= a_ms && s.t_secs < b_ms)
-        .map(f)
-        .collect();
-    if sel.is_empty() {
-        return 0.0;
-    }
-    sel.iter().sum::<f64>() / sel.len() as f64
 }
 
 #[cfg(test)]

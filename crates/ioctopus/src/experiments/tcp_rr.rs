@@ -15,6 +15,8 @@ use crate::netloop::{make_rr, App, NetLoop};
 use crate::results::LatencyResult;
 use crate::system::build_duplex;
 
+use super::latency;
+
 /// Figure 9's configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RrConfig {
@@ -91,20 +93,10 @@ pub fn run(cfg: RrConfig, msg: u64, transactions: usize) -> LatencyResult {
     // Generous deadline; RR self-terminates at the transaction target.
     nl.run(Time::from_ms(400));
     crate::perf::note_events(nl.events_processed());
-    match nl.app(i) {
-        App::Rr(a) => {
-            let mut h = a.rtt.clone();
-            LatencyResult {
-                config: cfg.label().to_string(),
-                x: msg as f64,
-                mean_us: h.mean().map(|d| d.as_us()).unwrap_or(f64::NAN),
-                p90_us: h.percentile(90.0).map(|d| d.as_us()).unwrap_or(f64::NAN),
-                p99_us: h.percentile(99.0).map(|d| d.as_us()).unwrap_or(f64::NAN),
-                transactions: a.done,
-            }
-        }
-        _ => unreachable!(),
-    }
+    let App::Rr(a) = nl.app(i) else {
+        unreachable!("app {i} is the ping-pong pair")
+    };
+    latency(cfg.label(), msg as f64, a)
 }
 
 #[cfg(test)]

@@ -8,11 +8,11 @@ use kernel::NetdevId;
 use simcore::Time;
 
 use crate::config::{BuildOpts, Placement};
-use crate::netloop::{make_rx_stream, make_tx_stream, App, NetLoop};
+use crate::netloop::{make_rx_stream, App, NetLoop};
 use crate::results::ThroughputResult;
 use crate::system::build_duplex;
 
-use super::{gbps, Window};
+use super::{run_window, throughput, Window};
 
 /// Telemetry artifacts harvested from a traced experiment run: the merged
 /// trace set, the NUMA-locality ledger, and the per-run metric snapshot.
@@ -33,7 +33,7 @@ const FLIGHT_ROWS: usize = 64;
 /// Runs single-core TCP Rx at `msg`-byte buffers for `sim_ms` simulated
 /// milliseconds.
 pub fn run_rx(p: Placement, msg: u64, sim_ms: u64) -> ThroughputResult {
-    run_rx_inner(p, msg, sim_ms, None).0
+    run(p, false, msg, sim_ms, None).0
 }
 
 /// [`run_rx`] with telemetry enabled: tracing into rings of `trace_cap`
@@ -44,68 +44,13 @@ pub fn run_rx_traced(
     sim_ms: u64,
     trace_cap: usize,
 ) -> (ThroughputResult, RunTelemetry) {
-    let (r, t) = run_rx_inner(p, msg, sim_ms, Some(trace_cap));
+    let (r, t) = run(p, false, msg, sim_ms, Some(trace_cap));
     (r, t.expect("telemetry was enabled"))
-}
-
-fn run_rx_inner(
-    p: Placement,
-    msg: u64,
-    sim_ms: u64,
-    trace_cap: Option<usize>,
-) -> (ThroughputResult, Option<RunTelemetry>) {
-    let mut duplex = build_duplex(p, BuildOpts::default());
-    let app = make_rx_stream(
-        &mut duplex,
-        p.app_core(),
-        0,
-        NetdevId(0),
-        msg,
-        512 * 1024,
-        4242,
-    );
-    let mut nl = NetLoop::new(duplex);
-    if let Some(cap) = trace_cap {
-        nl.enable_tracing(cap);
-        nl.enable_flight_recorder(FLIGHT_ROWS);
-    }
-    let i = nl.add_app(App::Rx(app));
-    nl.start_apps(Time::ZERO);
-
-    let w = Window::of_ms(sim_ms);
-    nl.run(w.warmup);
-    nl.duplex.server.mem.reset_counters();
-    nl.duplex.server.cores.reset_meters();
-    let base = match nl.app(i) {
-        App::Rx(a) => a.consumed,
-        _ => unreachable!(),
-    };
-    nl.run(w.end);
-    crate::perf::note_events(nl.events_processed());
-    let consumed = match nl.app(i) {
-        App::Rx(a) => a.consumed - base,
-        _ => unreachable!(),
-    };
-    let cores = nl.duplex.server.mem.topology().total_cores();
-    let result = ThroughputResult {
-        config: p.label().to_string(),
-        x: msg as f64,
-        throughput_gbps: gbps(consumed, w),
-        membw_gbps: gbps(nl.duplex.server.mem.counters().total_dram_bytes(), w),
-        cpu_cores: nl
-            .duplex
-            .server
-            .cores
-            .utilization_of(0..cores, w.warmup, w.end),
-        rate_per_sec: consumed as f64 / msg as f64 / w.secs(),
-    };
-    let telem = harvest(&mut nl, trace_cap.is_some());
-    (result, telem)
 }
 
 /// Runs single-core TCP Tx (TSO) at `msg`-byte buffers.
 pub fn run_tx(p: Placement, msg: u64, sim_ms: u64) -> ThroughputResult {
-    run_tx_inner(p, msg, sim_ms, None).0
+    run(p, true, msg, sim_ms, None).0
 }
 
 /// [`run_tx`] with telemetry enabled (see [`run_rx_traced`]).
@@ -115,53 +60,40 @@ pub fn run_tx_traced(
     sim_ms: u64,
     trace_cap: usize,
 ) -> (ThroughputResult, RunTelemetry) {
-    let (r, t) = run_tx_inner(p, msg, sim_ms, Some(trace_cap));
+    let (r, t) = run(p, true, msg, sim_ms, Some(trace_cap));
     (r, t.expect("telemetry was enabled"))
 }
 
-fn run_tx_inner(
+/// One single-core stream: the server transmits if `tx`, else it
+/// receives.
+fn run(
     p: Placement,
+    tx: bool,
     msg: u64,
     sim_ms: u64,
     trace_cap: Option<usize>,
 ) -> (ThroughputResult, Option<RunTelemetry>) {
     let mut duplex = build_duplex(p, BuildOpts::default());
-    let app = make_tx_stream(&mut duplex, p.app_core(), 0, NetdevId(0), msg, 4242);
+    let window = if tx { 4 * 1024 * 1024 } else { 512 * 1024 };
+    let stream = make_rx_stream(&mut duplex, p.app_core(), 0, NetdevId(0), msg, window, 4242);
     let mut nl = NetLoop::new(duplex);
     if let Some(cap) = trace_cap {
         nl.enable_tracing(cap);
         nl.enable_flight_recorder(FLIGHT_ROWS);
     }
-    let i = nl.add_app(App::Tx(app));
+    let i = nl.add_app(if tx { App::Tx(stream) } else { App::Rx(stream) });
     nl.start_apps(Time::ZERO);
 
     let w = Window::of_ms(sim_ms);
-    nl.run(w.warmup);
-    nl.duplex.server.mem.reset_counters();
-    nl.duplex.server.cores.reset_meters();
-    let base = match nl.app(i) {
-        App::Tx(a) => a.consumed,
-        _ => unreachable!(),
-    };
-    nl.run(w.end);
-    crate::perf::note_events(nl.events_processed());
-    let consumed = match nl.app(i) {
-        App::Tx(a) => a.consumed - base,
-        _ => unreachable!(),
-    };
-    let cores = nl.duplex.server.mem.topology().total_cores();
-    let result = ThroughputResult {
-        config: p.label().to_string(),
-        x: msg as f64,
-        throughput_gbps: gbps(consumed, w),
-        membw_gbps: gbps(nl.duplex.server.mem.counters().total_dram_bytes(), w),
-        cpu_cores: nl
-            .duplex
-            .server
-            .cores
-            .utilization_of(0..cores, w.warmup, w.end),
-        rate_per_sec: consumed as f64 / msg as f64 / w.secs(),
-    };
+    let (consumed, _) = run_window(&mut nl, &[i], w);
+    let result = throughput(
+        &nl,
+        w,
+        p.label(),
+        msg as f64,
+        consumed,
+        consumed as f64 / msg as f64,
+    );
     let telem = harvest(&mut nl, trace_cap.is_some());
     (result, telem)
 }

@@ -3,10 +3,10 @@
 //! [`NetLoop`] owns the [`Duplex`], an event queue, and a set of
 //! applications:
 //!
-//! * [`RxStream`] — netperf TCP_STREAM receive: the client streams
-//!   fixed-size messages under a receive-window credit loop; the server
-//!   `recv`s them (Figures 6, 11, 13, 14);
-//! * [`TxStream`] — netperf TCP_STREAM transmit with TSO (Figure 7);
+//! * [`Stream`] — netperf TCP_STREAM: the sender streams fixed-size
+//!   messages under a receive-window credit loop and the receiver `recv`s
+//!   them. [`App::Rx`] streams client → server (Figures 6, 11, 13, 14),
+//!   [`App::Tx`] server → client with TSO (Figure 7);
 //! * [`Rr`] — netperf TCP_RR / sockperf ping-pong latency (Figures 9, 12);
 //! * [`Kv`] — memcached/memslap GET/SET transactions (Figures 10, 13).
 //!
@@ -17,7 +17,7 @@
 
 use simcore::FxHashMap;
 
-use kernel::{HostOut, RecvOutcome, SendOutcome, SockId, ThreadId};
+use kernel::{HostOut, NetdevId, RecvOutcome, SendOutcome, SockId, ThreadId};
 use memsys::{AccessKind, PhysAddr};
 use nic::FlowTuple;
 use simcore::stats::Histogram;
@@ -30,9 +30,13 @@ use crate::system::{Duplex, Event, OutRouter, Side};
 /// the client's (GRO-batched) ACK processing.
 pub const ACK_DELAY: Dur = Dur::from_us(2);
 
-/// netperf TCP_STREAM receive (client → server).
+/// Most bytes one bounded `recv` consumes: one TSO/GRO aggregate.
+const RECV_CAP: u64 = 64 * 1024;
+
+/// netperf TCP_STREAM: one side sends, the other receives (see [`App::Rx`]
+/// and [`App::Tx`]).
 #[derive(Debug)]
-pub struct RxStream {
+pub struct Stream {
     /// Server-side socket.
     pub server_sock: SockId,
     /// Server app thread.
@@ -41,31 +45,21 @@ pub struct RxStream {
     pub client_sock: SockId,
     /// Client app thread.
     pub client_thread: ThreadId,
-    /// Message size per send/recv call.
+    /// Message size per send call (and per recv call of the Rx server).
     pub msg: u64,
     credit: i64,
-    client_blocked: bool,
-    /// Bytes the server application has consumed.
+    /// Bytes the receiving application has consumed.
     pub consumed: u64,
 }
 
-/// netperf TCP_STREAM transmit (server → client).
-#[derive(Debug)]
-pub struct TxStream {
-    /// Server-side socket.
-    pub server_sock: SockId,
-    /// Server app thread.
-    pub server_thread: ThreadId,
-    /// Client-side socket.
-    pub client_sock: SockId,
-    /// Client app thread.
-    pub client_thread: ThreadId,
-    /// Message size per send call.
-    pub msg: u64,
-    server_blocked: bool,
-    credit: i64,
-    /// Bytes the client application has consumed.
-    pub consumed: u64,
+impl Stream {
+    /// The socket and thread of one side of the connection.
+    fn end(&self, side: Side) -> (SockId, ThreadId) {
+        match side {
+            Side::Server => (self.server_sock, self.server_thread),
+            Side::Client => (self.client_sock, self.client_thread),
+        }
+    }
 }
 
 /// Request/response ping-pong (netperf TCP_RR, sockperf).
@@ -120,14 +114,58 @@ pub struct Kv {
 /// An application driven by the loop.
 #[derive(Debug)]
 pub enum App {
-    /// netperf Rx.
-    Rx(RxStream),
-    /// netperf Tx.
-    Tx(TxStream),
+    /// netperf Rx: the client streams to the server.
+    Rx(Stream),
+    /// netperf Tx: the server streams to the client.
+    Tx(Stream),
     /// Ping-pong latency.
     Rr(Rr),
     /// memcached connection.
     Kv(Kv),
+}
+
+impl App {
+    /// Progress so far: the bytes a stream's receiver consumed, or the
+    /// round trips (Rr) or operations (Kv) completed.
+    pub fn progress(&self) -> u64 {
+        match self {
+            App::Rx(a) | App::Tx(a) => a.consumed,
+            App::Rr(a) => a.done as u64,
+            App::Kv(a) => a.done,
+        }
+    }
+
+    /// The server-side socket.
+    pub(crate) fn server_sock(&self) -> SockId {
+        match self {
+            App::Rx(a) | App::Tx(a) => a.server_sock,
+            App::Rr(a) => a.server_sock,
+            App::Kv(a) => a.server_sock,
+        }
+    }
+
+    /// A stream and the side that sends its messages.
+    fn stream(&mut self) -> (&mut Stream, Side) {
+        match self {
+            App::Rx(a) => (a, Side::Client),
+            App::Tx(a) => (a, Side::Server),
+            App::Rr(_) | App::Kv(_) => unreachable!("not a stream"),
+        }
+    }
+
+    fn rr(&mut self) -> &mut Rr {
+        match self {
+            App::Rr(a) => a,
+            _ => unreachable!("not a ping-pong app"),
+        }
+    }
+
+    fn kv(&mut self) -> &mut Kv {
+        match self {
+            App::Kv(a) => a,
+            _ => unreachable!("not a memcached connection"),
+        }
+    }
 }
 
 /// The two-host event loop.
@@ -292,8 +330,7 @@ impl NetLoop {
     pub fn add_app(&mut self, app: App) -> usize {
         let i = self.apps.len();
         let (st, ct) = match &app {
-            App::Rx(a) => (a.server_thread, a.client_thread),
-            App::Tx(a) => (a.server_thread, a.client_thread),
+            App::Rx(a) | App::Tx(a) => (a.server_thread, a.client_thread),
             App::Rr(a) => (a.server_thread, a.client_thread),
             App::Kv(a) => (a.server_thread, a.client_thread),
         };
@@ -436,42 +473,26 @@ impl NetLoop {
         self.pagerank = Some(pr);
     }
 
-    /// Kicks every registered application at `start`.
+    /// Kicks every registered application at `start`: the receiver parks
+    /// in recv, then the sender starts streaming or sends the first
+    /// request.
     pub fn start_apps(&mut self, start: Time) {
         for i in 0..self.apps.len() {
             match &self.apps[i] {
-                App::Rx(_) => {
-                    // Server parks in recv, client starts streaming.
-                    let ssock = match &self.apps[i] {
-                        App::Rx(a) => a.server_sock,
-                        _ => unreachable!(),
-                    };
-                    let _ = self.duplex.server.recv(start, ssock, u64::MAX);
-                    self.pump_rx_client(i, start);
+                App::Rx(a) => {
+                    let _ = self.duplex.server.recv(start, a.server_sock, u64::MAX);
+                    self.pump_stream(i, start, 0);
                 }
-                App::Tx(_) => {
-                    // Client parks in recv, server starts sending.
-                    let (csock, _ct) = match &self.apps[i] {
-                        App::Tx(a) => (a.client_sock, a.client_thread),
-                        _ => unreachable!(),
-                    };
-                    let _ = self.duplex.client.recv(start, csock, u64::MAX);
-                    self.pump_tx_server(i, start);
+                App::Tx(a) => {
+                    let _ = self.duplex.client.recv(start, a.client_sock, u64::MAX);
+                    self.pump_stream(i, start, 0);
                 }
-                App::Rr(_) => {
-                    let ssock = match &self.apps[i] {
-                        App::Rr(a) => a.server_sock,
-                        _ => unreachable!(),
-                    };
-                    let _ = self.duplex.server.recv(start, ssock, u64::MAX);
+                App::Rr(a) => {
+                    let _ = self.duplex.server.recv(start, a.server_sock, u64::MAX);
                     self.rr_client_send(i, start);
                 }
-                App::Kv(_) => {
-                    let ssock = match &self.apps[i] {
-                        App::Kv(a) => a.server_sock,
-                        _ => unreachable!(),
-                    };
-                    let _ = self.duplex.server.recv(start, ssock, u64::MAX);
+                App::Kv(a) => {
+                    let _ = self.duplex.server.recv(start, a.server_sock, u64::MAX);
                     self.kv_client_send(i, start);
                 }
             }
@@ -587,31 +608,17 @@ impl NetLoop {
                     .irq_stamped(now, queue, epoch, &mut self.outbuf);
                 self.push_outs(side);
             }
-            Event::Wake { side, thread } => match side {
-                Side::Server => {
-                    if let Some(&i) = self.by_server_thread.get(&thread) {
-                        self.on_server_wake(i, now);
-                    }
+            Event::Wake { side, thread } => {
+                let by_thread = match side {
+                    Side::Server => &self.by_server_thread,
+                    Side::Client => &self.by_client_thread,
+                };
+                if let Some(&i) = by_thread.get(&thread) {
+                    self.on_wake(i, side, now);
                 }
-                Side::Client => {
-                    if let Some(&i) = self.by_client_thread.get(&thread) {
-                        self.on_client_wake(i, now);
-                    }
-                }
-            },
-            Event::Credit { app, bytes } => match &mut self.apps[app] {
-                App::Rx(a) => {
-                    a.credit += bytes as i64;
-                    a.client_blocked = false;
-                    self.pump_rx_client(app, now);
-                }
-                App::Tx(a) => {
-                    a.credit += bytes as i64;
-                    a.server_blocked = false;
-                    self.pump_tx_server(app, now);
-                }
-                App::Rr(_) | App::Kv(_) => {}
-            },
+            }
+            // Only stream receivers return credit.
+            Event::Credit { app, bytes } => self.pump_stream(app, now, bytes),
             Event::Migrate { thread, core } => {
                 self.duplex.server.migrate_thread(now, thread, core);
             }
@@ -675,160 +682,83 @@ impl NetLoop {
         }
     }
 
-    // ---------- Rx stream ----------
+    // ---------- streams ----------
 
-    fn pump_rx_client(&mut self, i: usize, now: Time) {
-        // One send per invocation, continuation self-scheduled: chaining an
-        // unbounded send loop inside one event would run the core's clock
-        // arbitrarily far ahead of simulated time.
-        let (sock, msg, has_credit, thread) = match &self.apps[i] {
-            App::Rx(a) => (
-                a.client_sock,
-                a.msg,
-                a.credit >= a.msg as i64,
-                a.client_thread,
-            ),
-            _ => return,
-        };
-        if !has_credit {
+    /// Adds `credit` to the stream's receive window, then sends its next
+    /// message if the window has room. One send per invocation,
+    /// continuation self-scheduled: chaining an unbounded send loop inside
+    /// one event would run the core's clock arbitrarily far ahead of
+    /// simulated time.
+    fn pump_stream(&mut self, i: usize, now: Time, credit: u64) {
+        let (a, sender) = self.apps[i].stream();
+        a.credit += credit as i64;
+        if a.credit < a.msg as i64 {
             return;
         }
-        match self.duplex.client.send(now, sock, msg, &mut self.outbuf) {
-            SendOutcome::Sent { done_at } => {
-                if let App::Rx(a) = &mut self.apps[i] {
-                    a.credit -= msg as i64;
-                }
-                self.push_outs(Side::Client);
-                self.q.push(
-                    done_at,
-                    Event::Wake {
-                        side: Side::Client,
-                        thread,
-                    },
-                );
-            }
-            SendOutcome::WouldBlock => {
-                if let App::Rx(a) = &mut self.apps[i] {
-                    a.client_blocked = true;
-                }
-            }
+        let (sock, thread) = a.end(sender);
+        let msg = a.msg;
+        if let SendOutcome::Sent { done_at } =
+            self.duplex
+                .host_mut(sender)
+                .send(now, sock, msg, &mut self.outbuf)
+        {
+            a.credit -= msg as i64;
+            self.push_outs(sender);
+            self.q.push(
+                done_at,
+                Event::Wake {
+                    side: sender,
+                    thread,
+                },
+            );
         }
     }
 
-    fn rx_server_drain(&mut self, i: usize, now: Time) {
-        // One recv per wake: the continuation is self-scheduled so that
-        // interrupts and arrivals interleave at their correct times instead
-        // of an unbounded synchronous drain starving ring refills.
-        let (sock, msg, thread) = match &self.apps[i] {
-            App::Rx(a) => (a.server_sock, a.msg, a.server_thread),
-            _ => return,
+    /// One recv per wake: the continuation is self-scheduled so that
+    /// interrupts and arrivals interleave at their correct times instead
+    /// of an unbounded synchronous drain starving ring refills. The Rx
+    /// server reads at most one message per call; the Tx client is
+    /// GRO-batched, at most one TSO aggregate.
+    fn drain_stream(&mut self, i: usize, now: Time) {
+        let (a, sender) = self.apps[i].stream();
+        let receiver = sender.other();
+        let cap = match receiver {
+            Side::Server => a.msg,
+            Side::Client => RECV_CAP,
         };
-        match self.duplex.server.recv(now, sock, msg) {
-            RecvOutcome::Data { done_at, bytes } => {
-                if let App::Rx(a) = &mut self.apps[i] {
-                    a.consumed += bytes;
-                }
-                self.q
-                    .push(done_at + ACK_DELAY, Event::Credit { app: i, bytes });
-                self.q.push(
-                    done_at,
-                    Event::Wake {
-                        side: Side::Server,
-                        thread,
-                    },
-                );
-            }
-            RecvOutcome::WouldBlock => {}
-        }
-    }
-
-    // ---------- Tx stream ----------
-
-    fn pump_tx_server(&mut self, i: usize, now: Time) {
-        // One send per invocation with a self-scheduled continuation (see
-        // pump_rx_client).
-        let (sock, msg, has_credit, thread) = match &self.apps[i] {
-            App::Tx(a) => (
-                a.server_sock,
-                a.msg,
-                a.credit >= a.msg as i64,
-                a.server_thread,
-            ),
-            _ => return,
-        };
-        if !has_credit {
-            return;
-        }
-        match self.duplex.server.send(now, sock, msg, &mut self.outbuf) {
-            SendOutcome::Sent { done_at } => {
-                if let App::Tx(a) = &mut self.apps[i] {
-                    a.credit -= msg as i64;
-                }
-                self.push_outs(Side::Server);
-                self.q.push(
-                    done_at,
-                    Event::Wake {
-                        side: Side::Server,
-                        thread,
-                    },
-                );
-            }
-            SendOutcome::WouldBlock => {
-                if let App::Tx(a) = &mut self.apps[i] {
-                    a.server_blocked = true;
-                }
-            }
-        }
-    }
-
-    fn tx_client_drain(&mut self, i: usize, now: Time) {
-        // One recv per wake (see rx_server_drain). GRO-batched: each call
-        // consumes at most one TSO aggregate's worth.
-        let (sock, thread) = match &self.apps[i] {
-            App::Tx(a) => (a.client_sock, a.client_thread),
-            _ => return,
-        };
-        match self.duplex.client.recv(now, sock, 64 * 1024) {
-            RecvOutcome::Data { done_at, bytes } => {
-                if let App::Tx(a) = &mut self.apps[i] {
-                    a.consumed += bytes;
-                }
-                self.q
-                    .push(done_at + ACK_DELAY, Event::Credit { app: i, bytes });
-                self.q.push(
-                    done_at,
-                    Event::Wake {
-                        side: Side::Client,
-                        thread,
-                    },
-                );
-            }
-            RecvOutcome::WouldBlock => {}
+        let (sock, thread) = a.end(receiver);
+        if let RecvOutcome::Data { done_at, bytes } =
+            self.duplex.host_mut(receiver).recv(now, sock, cap)
+        {
+            a.consumed += bytes;
+            self.q
+                .push(done_at + ACK_DELAY, Event::Credit { app: i, bytes });
+            self.q.push(
+                done_at,
+                Event::Wake {
+                    side: receiver,
+                    thread,
+                },
+            );
         }
     }
 
     // ---------- RR ----------
 
     fn rr_client_send(&mut self, i: usize, now: Time) {
-        let (sock, msg, done, target) = match &self.apps[i] {
-            App::Rr(a) => (a.client_sock, a.msg, a.done, a.target),
-            _ => return,
-        };
-        if done >= target {
+        let a = self.apps[i].rr();
+        if a.done >= a.target {
             return;
         }
-        match self.duplex.client.send(now, sock, msg, &mut self.outbuf) {
-            SendOutcome::Sent { done_at } => {
-                if let App::Rr(a) = &mut self.apps[i] {
-                    a.sent_at = now;
-                }
-                self.push_outs(Side::Client);
-                // Park in recv for the response.
-                let _ = self.duplex.client.recv(done_at, sock, u64::MAX);
-            }
-            SendOutcome::WouldBlock => {
-                // Tiny messages never block in practice; retry on wake.
-            }
+        let sock = a.client_sock;
+        // Tiny messages never block in practice; retry on wake.
+        if let SendOutcome::Sent { done_at } =
+            self.duplex.client.send(now, sock, a.msg, &mut self.outbuf)
+        {
+            a.sent_at = now;
+            self.push_outs(Side::Client);
+            // Park in recv for the response.
+            let _ = self.duplex.client.recv(done_at, sock, u64::MAX);
         }
     }
 
@@ -837,70 +767,41 @@ impl NetLoop {
         // thread's ordering is carried by its core's busy-until horizon, and
         // reservations must never be issued at chained future times.
         loop {
-            let sock = match &self.apps[i] {
-                App::Rr(a) => a.server_sock,
-                _ => return,
+            let a = self.apps[i].rr();
+            let RecvOutcome::Data { bytes, .. } =
+                self.duplex.server.recv(now, a.server_sock, u64::MAX)
+            else {
+                return;
             };
-            match self.duplex.server.recv(now, sock, u64::MAX) {
-                RecvOutcome::Data { done_at, bytes } => {
-                    let _ = done_at;
-                    let ready = {
-                        let a = match &mut self.apps[i] {
-                            App::Rr(a) => a,
-                            _ => unreachable!(),
-                        };
-                        a.server_acc += bytes;
-                        a.server_acc >= a.msg
-                    };
-                    if ready {
-                        let (sock, msg) = match &mut self.apps[i] {
-                            App::Rr(a) => {
-                                a.server_acc -= a.msg;
-                                (a.server_sock, a.msg)
-                            }
-                            _ => unreachable!(),
-                        };
-                        if let SendOutcome::Sent { .. } =
-                            self.duplex.server.send(now, sock, msg, &mut self.outbuf)
-                        {
-                            self.push_outs(Side::Server);
-                        }
-                    }
+            a.server_acc += bytes;
+            if a.server_acc >= a.msg {
+                a.server_acc -= a.msg;
+                if let SendOutcome::Sent { .. } =
+                    self.duplex
+                        .server
+                        .send(now, a.server_sock, a.msg, &mut self.outbuf)
+                {
+                    self.push_outs(Side::Server);
                 }
-                RecvOutcome::WouldBlock => return,
             }
         }
     }
 
     fn rr_client_wake(&mut self, i: usize, now: Time) {
         loop {
-            let sock = match &self.apps[i] {
-                App::Rr(a) => a.client_sock,
-                _ => return,
+            let a = self.apps[i].rr();
+            let RecvOutcome::Data { done_at, bytes } =
+                self.duplex.client.recv(now, a.client_sock, u64::MAX)
+            else {
+                return;
             };
-            match self.duplex.client.recv(now, sock, u64::MAX) {
-                RecvOutcome::Data { done_at, bytes } => {
-                    let finished = {
-                        let a = match &mut self.apps[i] {
-                            App::Rr(a) => a,
-                            _ => unreachable!(),
-                        };
-                        a.client_acc += bytes;
-                        if a.client_acc >= a.msg {
-                            a.client_acc -= a.msg;
-                            a.rtt.record(done_at.since(a.sent_at));
-                            a.done += 1;
-                            true
-                        } else {
-                            false
-                        }
-                    };
-                    if finished {
-                        // Anchor at the event time (see rr_server_wake).
-                        self.rr_client_send(i, now);
-                    }
-                }
-                RecvOutcome::WouldBlock => return,
+            a.client_acc += bytes;
+            if a.client_acc >= a.msg {
+                a.client_acc -= a.msg;
+                a.rtt.record(done_at.since(a.sent_at));
+                a.done += 1;
+                // Anchor at the event time (see rr_server_wake).
+                self.rr_client_send(i, now);
             }
         }
     }
@@ -908,250 +809,183 @@ impl NetLoop {
     // ---------- memcached ----------
 
     fn kv_client_send(&mut self, i: usize, now: Time) {
-        let (sock, req) = match &mut self.apps[i] {
-            App::Kv(a) => {
-                if !a.send_pending {
-                    a.cur_op = a.workload.next_op();
-                }
-                (a.client_sock, a.cur_op.request_bytes())
-            }
-            _ => return,
-        };
-        match self.duplex.client.send(now, sock, req, &mut self.outbuf) {
+        let a = self.apps[i].kv();
+        if !a.send_pending {
+            a.cur_op = a.workload.next_op();
+        }
+        let sock = a.client_sock;
+        match self
+            .duplex
+            .client
+            .send(now, sock, a.cur_op.request_bytes(), &mut self.outbuf)
+        {
             SendOutcome::Sent { done_at } => {
-                if let App::Kv(a) = &mut self.apps[i] {
-                    a.send_pending = false;
-                }
+                a.send_pending = false;
                 self.push_outs(Side::Client);
                 let _ = self.duplex.client.recv(done_at, sock, u64::MAX);
             }
-            SendOutcome::WouldBlock => {
-                // Woken by a Tx completion; retried from on_client_wake.
-                if let App::Kv(a) = &mut self.apps[i] {
-                    a.send_pending = true;
-                }
-            }
+            // Woken by a Tx completion; retried from kv_client_wake.
+            SendOutcome::WouldBlock => a.send_pending = true,
         }
     }
 
     fn kv_server_wake(&mut self, i: usize, now: Time) {
         // One bounded recv per event, self-continued at its completion time:
         // draining an arbitrarily large request at a single instant would
-        // charge n² self-queueing on the memory links (see pump_rx_client).
-        let (sock, thread) = match &self.apps[i] {
-            App::Kv(a) => (a.server_sock, a.server_thread),
-            _ => return,
+        // charge n² self-queueing on the memory links (see pump_stream).
+        let a = self.apps[i].kv();
+        let RecvOutcome::Data { done_at, bytes } =
+            self.duplex.server.recv(now, a.server_sock, RECV_CAP)
+        else {
+            return;
         };
-        match self.duplex.server.recv(now, sock, 64 * 1024) {
-            RecvOutcome::Data { done_at, bytes } => {
-                let ready = {
-                    let a = match &mut self.apps[i] {
-                        App::Kv(a) => a,
-                        _ => unreachable!(),
-                    };
-                    a.server_acc += bytes;
-                    a.server_acc >= a.cur_op.request_bytes()
-                };
-                if ready {
-                    // Serve at the event's dispatch time, not the chained
-                    // recv completion: the worker core's busy-until horizon
-                    // already orders the serve after the copy, and issuing
-                    // the value-store reservation at a future `done_at`
-                    // would push shared FIFO horizons ahead of simulated
-                    // time (a positive feedback that wedges the run).
-                    self.kv_serve(i, now);
-                }
-                // Re-enter recv: either more data is already buffered
-                // (continues the drain) or the thread parks for the next
-                // request.
-                self.q.push(
-                    done_at,
-                    Event::Wake {
-                        side: Side::Server,
-                        thread,
-                    },
-                );
-            }
-            RecvOutcome::WouldBlock => {}
+        a.server_acc += bytes;
+        let thread = a.server_thread;
+        if a.server_acc >= a.cur_op.request_bytes() {
+            // Serve at the event's dispatch time, not the chained recv
+            // completion: the worker core's busy-until horizon already
+            // orders the serve after the copy, and issuing the value-store
+            // reservation at a future `done_at` would push shared FIFO
+            // horizons ahead of simulated time (a positive feedback that
+            // wedges the run).
+            self.kv_serve(i, now);
         }
+        // Re-enter recv: either more data is already buffered (continues
+        // the drain) or the thread parks for the next request.
+        self.q.push(
+            done_at,
+            Event::Wake {
+                side: Side::Server,
+                thread,
+            },
+        );
     }
 
     fn kv_serve(&mut self, i: usize, now: Time) {
-        let (sock, op, op_cost, value_addr, thread) = match &mut self.apps[i] {
-            App::Kv(a) => {
-                a.server_acc -= a.cur_op.request_bytes();
-                (
-                    a.server_sock,
-                    a.cur_op,
-                    a.op_cost,
-                    a.values[a.cur_op.key() % a.values.len()],
-                    a.server_thread,
-                )
-            }
-            _ => unreachable!(),
-        };
-        let core = self.duplex.server.sched.core_of(thread);
-        let node = self.duplex.server.sched.node_of(thread);
+        let a = self.apps[i].kv();
+        let op = a.cur_op;
+        a.server_acc -= op.request_bytes();
+        let sock = a.server_sock;
+        let value_addr = a.values[op.key() % a.values.len()];
+        let server = &mut self.duplex.server;
+        let core = server.sched.core_of(a.server_thread);
+        let node = server.sched.node_of(a.server_thread);
         // Hash lookup + item bookkeeping (core busy-until carries ordering;
         // everything anchors at the event time `now`).
-        self.duplex.server.cores.run(core, now, op_cost);
+        server.cores.run(core, now, a.op_cost);
         let resp = op.response_bytes();
-        match op {
-            KvOp::Get { .. } => {
-                // Response payload is copied straight out of the value
-                // region, so its residency (LLC vs DRAM) is what the copy
-                // pays for.
-                if let SendOutcome::Sent { .. } =
-                    self.duplex
-                        .server
-                        .send_from(now, sock, resp, value_addr, &mut self.outbuf)
-                {
-                    self.push_outs(Side::Server);
-                }
-            }
+        let sent = match op {
+            // Response payload is copied straight out of the value region,
+            // so its residency (LLC vs DRAM) is what the copy pays for.
+            KvOp::Get { .. } => server.send_from(now, sock, resp, value_addr, &mut self.outbuf),
             KvOp::Set { .. } => {
                 // Store the new value, then acknowledge.
-                let w = self.duplex.server.mem.cpu_write(
+                let w = server.mem.cpu_write(
                     now,
                     node,
                     value_addr,
                     workloads::memcached::VALUE_BYTES,
                     AccessKind::Stream,
                 );
-                self.duplex.server.cores.run(core, now, w);
-                if let SendOutcome::Sent { .. } =
-                    self.duplex.server.send(now, sock, resp, &mut self.outbuf)
-                {
-                    self.push_outs(Side::Server);
-                }
+                server.cores.run(core, now, w);
+                server.send(now, sock, resp, &mut self.outbuf)
             }
+        };
+        if let SendOutcome::Sent { .. } = sent {
+            self.push_outs(Side::Server);
         }
     }
 
     fn kv_client_wake(&mut self, i: usize, now: Time) {
+        let a = self.apps[i].kv();
         // Retry a backpressured request first (woken by a Tx completion).
-        let retry = matches!(&self.apps[i], App::Kv(a) if a.send_pending);
-        if retry {
+        if a.send_pending {
             self.kv_client_send(i, now);
             return;
         }
         // One bounded (GRO-batched) recv per event; see kv_server_wake.
-        let (sock, thread) = match &self.apps[i] {
-            App::Kv(a) => (a.client_sock, a.client_thread),
-            _ => return,
+        let RecvOutcome::Data { done_at, bytes } =
+            self.duplex.client.recv(now, a.client_sock, RECV_CAP)
+        else {
+            return;
         };
-        match self.duplex.client.recv(now, sock, 64 * 1024) {
-            RecvOutcome::Data { done_at, bytes } => {
-                let finished = {
-                    let a = match &mut self.apps[i] {
-                        App::Kv(a) => a,
-                        _ => unreachable!(),
-                    };
-                    a.client_acc += bytes;
-                    if a.client_acc >= a.cur_op.response_bytes() {
-                        a.client_acc -= a.cur_op.response_bytes();
-                        a.done += 1;
-                        true
-                    } else {
-                        false
-                    }
-                };
-                if finished {
-                    // Anchor the next request at the event time (see
-                    // kv_server_wake): the client core's horizon carries
-                    // the ordering.
-                    self.kv_client_send(i, now);
-                } else {
-                    self.q.push(
-                        done_at,
-                        Event::Wake {
-                            side: Side::Client,
-                            thread,
-                        },
-                    );
-                }
-            }
-            RecvOutcome::WouldBlock => {}
+        a.client_acc += bytes;
+        let resp = a.cur_op.response_bytes();
+        if a.client_acc >= resp {
+            a.client_acc -= resp;
+            a.done += 1;
+            // Anchor the next request at the event time (see
+            // kv_server_wake): the client core's horizon carries the
+            // ordering.
+            self.kv_client_send(i, now);
+        } else {
+            self.q.push(
+                done_at,
+                Event::Wake {
+                    side: Side::Client,
+                    thread: a.client_thread,
+                },
+            );
         }
     }
 
-    fn on_server_wake(&mut self, i: usize, now: Time) {
-        match &self.apps[i] {
-            App::Rx(_) => self.rx_server_drain(i, now),
-            App::Tx(_) => self.pump_tx_server(i, now),
-            App::Rr(_) => self.rr_server_wake(i, now),
-            App::Kv(_) => self.kv_server_wake(i, now),
-        }
-    }
-
-    fn on_client_wake(&mut self, i: usize, now: Time) {
-        match &self.apps[i] {
-            App::Rx(_) => self.pump_rx_client(i, now),
-            App::Tx(_) => self.tx_client_drain(i, now),
-            App::Rr(_) => self.rr_client_wake(i, now),
-            App::Kv(_) => self.kv_client_wake(i, now),
+    fn on_wake(&mut self, i: usize, side: Side, now: Time) {
+        match (&self.apps[i], side) {
+            (App::Rx(_), Side::Client) | (App::Tx(_), Side::Server) => self.pump_stream(i, now, 0),
+            (App::Rx(_), Side::Server) | (App::Tx(_), Side::Client) => self.drain_stream(i, now),
+            (App::Rr(_), Side::Server) => self.rr_server_wake(i, now),
+            (App::Rr(_), Side::Client) => self.rr_client_wake(i, now),
+            (App::Kv(_), Side::Server) => self.kv_server_wake(i, now),
+            (App::Kv(_), Side::Client) => self.kv_client_wake(i, now),
         }
     }
 }
 
-/// Builds an [`RxStream`] app over fresh sockets/threads.
+/// Opens one connection: spawns the server thread, then the client thread,
+/// then opens the server's socket for `flow` on `server_netdev` and the
+/// client's for the reversed flow. Returns `(server_sock, server_thread,
+/// client_sock, client_thread)`.
+fn connect(
+    duplex: &mut Duplex,
+    server_core: usize,
+    client_core: usize,
+    server_netdev: NetdevId,
+    flow: FlowTuple,
+) -> (SockId, ThreadId, SockId, ThreadId) {
+    let st = duplex.server.spawn_thread(server_core);
+    let ct = duplex.client.spawn_thread(client_core);
+    let ss = duplex
+        .server
+        .open_socket(Time::ZERO, st, flow, server_netdev);
+    let cs = duplex
+        .client
+        .open_socket(Time::ZERO, ct, flow.reversed(), NetdevId(0));
+    (ss, st, cs, ct)
+}
+
+/// Builds a [`Stream`] over fresh sockets/threads with `window` bytes of
+/// receive-window credit. [`App::Rx`] wraps it to stream client → server,
+/// [`App::Tx`] to stream server → client.
 pub fn make_rx_stream(
     duplex: &mut Duplex,
     server_core: usize,
     client_core: usize,
-    server_netdev: kernel::NetdevId,
+    server_netdev: NetdevId,
     msg: u64,
     window: u64,
     port: u16,
-) -> RxStream {
-    let st = duplex.server.spawn_thread(server_core);
-    let ct = duplex.client.spawn_thread(client_core);
-    // Inbound flow at the server: client → server.
+) -> Stream {
+    // The flow as the server sees it inbound: client → server.
     let flow = FlowTuple::tcp(0x0A00_0001, port, 0x0A00_0002, 5001);
-    let ss = duplex
-        .server
-        .open_socket(Time::ZERO, st, flow, server_netdev);
-    let cs = duplex
-        .client
-        .open_socket(Time::ZERO, ct, flow.reversed(), kernel::NetdevId(0));
-    RxStream {
-        server_sock: ss,
-        server_thread: st,
-        client_sock: cs,
-        client_thread: ct,
+    let (server_sock, server_thread, client_sock, client_thread) =
+        connect(duplex, server_core, client_core, server_netdev, flow);
+    Stream {
+        server_sock,
+        server_thread,
+        client_sock,
+        client_thread,
         msg,
         credit: window as i64,
-        client_blocked: false,
-        consumed: 0,
-    }
-}
-
-/// Builds a [`TxStream`] app over fresh sockets/threads.
-pub fn make_tx_stream(
-    duplex: &mut Duplex,
-    server_core: usize,
-    client_core: usize,
-    server_netdev: kernel::NetdevId,
-    msg: u64,
-    port: u16,
-) -> TxStream {
-    let st = duplex.server.spawn_thread(server_core);
-    let ct = duplex.client.spawn_thread(client_core);
-    let flow = FlowTuple::tcp(0x0A00_0001, port, 0x0A00_0002, 5001);
-    let ss = duplex
-        .server
-        .open_socket(Time::ZERO, st, flow, server_netdev);
-    let cs = duplex
-        .client
-        .open_socket(Time::ZERO, ct, flow.reversed(), kernel::NetdevId(0));
-    TxStream {
-        server_sock: ss,
-        server_thread: st,
-        client_sock: cs,
-        client_thread: ct,
-        msg,
-        server_blocked: false,
-        credit: 4 * 1024 * 1024,
         consumed: 0,
     }
 }
@@ -1165,30 +999,24 @@ pub fn make_rr(
     duplex: &mut Duplex,
     server_core: usize,
     client_core: usize,
-    server_netdev: kernel::NetdevId,
+    server_netdev: NetdevId,
     msg: u64,
     target: usize,
     port: u16,
     udp: bool,
 ) -> Rr {
-    let st = duplex.server.spawn_thread(server_core);
-    let ct = duplex.client.spawn_thread(client_core);
     let flow = if udp {
         FlowTuple::udp(0x0A00_0001, port, 0x0A00_0002, 5001)
     } else {
         FlowTuple::tcp(0x0A00_0001, port, 0x0A00_0002, 5001)
     };
-    let ss = duplex
-        .server
-        .open_socket(Time::ZERO, st, flow, server_netdev);
-    let cs = duplex
-        .client
-        .open_socket(Time::ZERO, ct, flow.reversed(), kernel::NetdevId(0));
+    let (server_sock, server_thread, client_sock, client_thread) =
+        connect(duplex, server_core, client_core, server_netdev, flow);
     Rr {
-        server_sock: ss,
-        server_thread: st,
-        client_sock: cs,
-        client_thread: ct,
+        server_sock,
+        server_thread,
+        client_sock,
+        client_thread,
         msg,
         target,
         server_acc: 0,
@@ -1209,22 +1037,16 @@ pub fn make_kv(
     duplex: &mut Duplex,
     server_core: usize,
     client_core: usize,
-    server_netdev: kernel::NetdevId,
+    server_netdev: NetdevId,
     set_ratio: f64,
     keys: usize,
     port: u16,
     seed: u64,
 ) -> Kv {
-    let st = duplex.server.spawn_thread(server_core);
-    let ct = duplex.client.spawn_thread(client_core);
     let flow = FlowTuple::tcp(0x0A00_0001, port, 0x0A00_0002, 11211);
-    let ss = duplex
-        .server
-        .open_socket(Time::ZERO, st, flow, server_netdev);
-    let cs = duplex
-        .client
-        .open_socket(Time::ZERO, ct, flow.reversed(), kernel::NetdevId(0));
-    let node = duplex.server.sched.node_of(st);
+    let (server_sock, server_thread, client_sock, client_thread) =
+        connect(duplex, server_core, client_core, server_netdev, flow);
+    let node = duplex.server.sched.node_of(server_thread);
     let values = (0..keys)
         .map(|_| {
             duplex
@@ -1234,10 +1056,10 @@ pub fn make_kv(
         })
         .collect();
     Kv {
-        server_sock: ss,
-        server_thread: st,
-        client_sock: cs,
-        client_thread: ct,
+        server_sock,
+        server_thread,
+        client_sock,
+        client_thread,
         workload: KvWorkload::new(set_ratio, keys, seed),
         values,
         cur_op: KvOp::Get { key: 0 },
@@ -1258,23 +1080,12 @@ mod tests {
     #[test]
     fn rx_stream_moves_data_end_to_end() {
         let mut duplex = build_duplex(Placement::Octopus, BuildOpts::default());
-        let app = make_rx_stream(
-            &mut duplex,
-            14,
-            0,
-            kernel::NetdevId(0),
-            65536,
-            512 * 1024,
-            4000,
-        );
+        let app = make_rx_stream(&mut duplex, 14, 0, NetdevId(0), 65536, 512 * 1024, 4000);
         let mut nl = NetLoop::new(duplex);
         let i = nl.add_app(App::Rx(app));
         nl.start_apps(Time::ZERO);
         nl.run(Time::from_ms(5));
-        let consumed = match nl.app(i) {
-            App::Rx(a) => a.consumed,
-            _ => unreachable!(),
-        };
+        let consumed = nl.app(i).progress();
         // At ≥10 Gb/s, 5 ms moves ≥ 6 MB.
         assert!(consumed > 6_000_000, "consumed = {consumed}");
         assert_eq!(nl.duplex.server.nic.rx_dropped(), 0);
@@ -1283,15 +1094,12 @@ mod tests {
     #[test]
     fn tx_stream_moves_data_end_to_end() {
         let mut duplex = build_duplex(Placement::Local, BuildOpts::default());
-        let app = make_tx_stream(&mut duplex, 0, 0, kernel::NetdevId(0), 65536, 4001);
+        let app = make_rx_stream(&mut duplex, 0, 0, NetdevId(0), 65536, 4 * 1024 * 1024, 4001);
         let mut nl = NetLoop::new(duplex);
         let i = nl.add_app(App::Tx(app));
         nl.start_apps(Time::ZERO);
         nl.run(Time::from_ms(5));
-        let consumed = match nl.app(i) {
-            App::Tx(a) => a.consumed,
-            _ => unreachable!(),
-        };
+        let consumed = nl.app(i).progress();
         assert!(consumed > 10_000_000, "consumed = {consumed}");
     }
 
@@ -1304,7 +1112,7 @@ mod tests {
                 ..BuildOpts::default()
             },
         );
-        let app = make_rr(&mut duplex, 0, 0, kernel::NetdevId(0), 64, 50, 4002, false);
+        let app = make_rr(&mut duplex, 0, 0, NetdevId(0), 64, 50, 4002, false);
         let mut nl = NetLoop::new(duplex);
         let i = nl.add_app(App::Rr(app));
         nl.start_apps(Time::ZERO);
@@ -1323,7 +1131,7 @@ mod tests {
     #[test]
     fn kv_completes_ops() {
         let mut duplex = build_duplex(Placement::Octopus, BuildOpts::default());
-        let app = make_kv(&mut duplex, 14, 0, kernel::NetdevId(0), 0.5, 8, 4003, 7);
+        let app = make_kv(&mut duplex, 14, 0, NetdevId(0), 0.5, 8, 4003, 7);
         let mut nl = NetLoop::new(duplex);
         let i = nl.add_app(App::Kv(app));
         nl.start_apps(Time::ZERO);
@@ -1351,15 +1159,7 @@ mod tests {
     #[test]
     fn sampling_produces_a_monotone_timeline() {
         let mut duplex = build_duplex(Placement::Octopus, BuildOpts::default());
-        let app = make_rx_stream(
-            &mut duplex,
-            14,
-            0,
-            kernel::NetdevId(0),
-            65536,
-            512 * 1024,
-            4010,
-        );
+        let app = make_rx_stream(&mut duplex, 14, 0, NetdevId(0), 65536, 512 * 1024, 4010);
         let mut nl = NetLoop::new(duplex);
         let _ = nl.add_app(App::Rx(app));
         nl.enable_sampling(Dur::from_us(100));
@@ -1376,15 +1176,7 @@ mod tests {
     #[test]
     fn migration_mid_stream_is_transparent_to_the_app() {
         let mut duplex = build_duplex(Placement::Octopus, BuildOpts::default());
-        let app = make_rx_stream(
-            &mut duplex,
-            0,
-            0,
-            kernel::NetdevId(0),
-            65536,
-            512 * 1024,
-            4011,
-        );
+        let app = make_rx_stream(&mut duplex, 0, 0, NetdevId(0), 65536, 512 * 1024, 4011);
         let th = app.server_thread;
         let sock = app.server_sock;
         let mut nl = NetLoop::new(duplex);
@@ -1392,10 +1184,7 @@ mod tests {
         nl.schedule_migration(Time::from_ms(2), th, 14);
         nl.start_apps(Time::ZERO);
         nl.run(Time::from_ms(5));
-        let consumed = match nl.app(i) {
-            App::Rx(a) => a.consumed,
-            _ => unreachable!(),
-        };
+        let consumed = nl.app(i).progress();
         assert!(
             consumed > 5_000_000,
             "stream survived migration: {consumed}"
@@ -1413,7 +1202,7 @@ mod tests {
                 ..BuildOpts::default()
             },
         );
-        let app = make_rr(&mut duplex, 0, 0, kernel::NetdevId(0), 256, 80, 4012, false);
+        let app = make_rr(&mut duplex, 0, 0, NetdevId(0), 256, 80, 4012, false);
         let mut nl = NetLoop::new(duplex);
         let i = nl.add_app(App::Rr(app));
         nl.start_apps(Time::ZERO);
@@ -1441,7 +1230,7 @@ mod tests {
                     ..BuildOpts::default()
                 },
             );
-            let app = make_rr(&mut duplex, 14, 0, kernel::NetdevId(0), 64, 30, 4013, udp);
+            let app = make_rr(&mut duplex, 14, 0, NetdevId(0), 64, 30, 4013, udp);
             let mut nl = NetLoop::new(duplex);
             let i = nl.add_app(App::Rr(app));
             nl.start_apps(Time::ZERO);
@@ -1456,7 +1245,7 @@ mod tests {
     #[test]
     fn kv_get_and_set_roundtrip_accounting() {
         let mut duplex = build_duplex(Placement::Octopus, BuildOpts::default());
-        let app = make_kv(&mut duplex, 14, 0, kernel::NetdevId(0), 0.5, 4, 4014, 99);
+        let app = make_kv(&mut duplex, 14, 0, NetdevId(0), 0.5, 4, 4014, 99);
         let mut nl = NetLoop::new(duplex);
         let i = nl.add_app(App::Kv(app));
         nl.start_apps(Time::ZERO);

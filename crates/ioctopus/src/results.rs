@@ -231,32 +231,6 @@ impl CsvRow for NvmeResult {
     }
 }
 
-/// Writes `rows` to `<workspace>/target/figures/<name>.csv`; best-effort
-/// (figure regeneration must not fail on a read-only filesystem). Returns
-/// the path written, if any.
-pub fn write_csv<T: CsvRow>(name: &str, rows: &[T]) -> Option<std::path::PathBuf> {
-    // Anchor at the workspace root (the bench binaries run with the
-    // package directory as CWD): walk up to the first Cargo.lock.
-    let mut root = std::env::current_dir().ok()?;
-    while !root.join("Cargo.lock").exists() {
-        if !root.pop() {
-            root = std::env::current_dir().ok()?;
-            break;
-        }
-    }
-    let dir = root.join("target").join("figures");
-    std::fs::create_dir_all(&dir).ok()?;
-    let path = dir.join(format!("{name}.csv"));
-    let mut out = String::from(T::csv_header());
-    out.push('\n');
-    for r in rows {
-        out.push_str(&r.csv_row());
-        out.push('\n');
-    }
-    std::fs::write(&path, out).ok()?;
-    Some(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

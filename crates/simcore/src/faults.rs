@@ -11,8 +11,7 @@
 //! because `simcore` sits below the device crates; the experiment layer maps
 //! indices to concrete endpoints when it applies each event.
 
-use crate::rng::SimRng;
-use crate::time::{Dur, Time};
+use crate::time::Time;
 
 /// What goes wrong (or comes back) at a fault instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,27 +74,23 @@ pub struct FaultEvent {
 /// A deterministic, time-ordered schedule of fault events.
 ///
 /// Events inserted out of order are sorted on insertion (stable for equal
-/// times: insertion order is preserved), so iteration via [`pop_due`]
-/// (FaultPlan::pop_due) always yields events in firing order regardless of
-/// how the plan was built.
+/// times: insertion order is preserved), so [`events`](FaultPlan::events)
+/// always lists them in firing order regardless of how the plan was built.
 ///
 /// # Example
 /// ```
 /// use simcore::{FaultKind, FaultPlan, Time};
 ///
 /// let mut plan = FaultPlan::new();
-/// plan.push(Time::from_ms(4), 0, FaultKind::PfFail);
 /// plan.push(Time::from_ms(7), 0, FaultKind::PfRecover);
+/// plan.push(Time::from_ms(4), 0, FaultKind::PfFail);
 /// assert_eq!(plan.len(), 2);
-/// assert_eq!(plan.next_at(), Some(Time::from_ms(4)));
-/// let due = plan.pop_due(Time::from_ms(5));
-/// assert_eq!(due.len(), 1);
-/// assert_eq!(due[0].kind, FaultKind::PfFail);
+/// let kinds: Vec<_> = plan.events().iter().map(|e| e.kind).collect();
+/// assert_eq!(kinds, [FaultKind::PfFail, FaultKind::PfRecover]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
-    cursor: usize,
 }
 
 impl FaultPlan {
@@ -105,15 +100,7 @@ impl FaultPlan {
     }
 
     /// Schedules `kind` on PF `pf` at `at`, keeping the plan time-sorted.
-    ///
-    /// # Panics
-    /// Panics if events before `at` have already been popped — a plan is
-    /// installed before the run starts, not mutated mid-flight.
     pub fn push(&mut self, at: Time, pf: usize, kind: FaultKind) {
-        assert!(
-            self.cursor == 0,
-            "fault plans are fixed before the run starts"
-        );
         let idx = self.events.partition_point(|e| e.at <= at);
         self.events.insert(idx, FaultEvent { at, pf, kind });
     }
@@ -136,52 +123,7 @@ impl FaultPlan {
             .with(recover_at, pf, FaultKind::PfRecover)
     }
 
-    /// A link-quality dip: downtrain at `degrade_at`, retrain to full
-    /// width/speed at `recover_at`.
-    ///
-    /// # Panics
-    /// Panics if `recover_at <= degrade_at`.
-    pub fn link_dip(pf: usize, degrade_at: Time, recover_at: Time, lanes: u8, gen: u8) -> Self {
-        assert!(recover_at > degrade_at, "recovery must follow the degrade");
-        Self::new()
-            .with(degrade_at, pf, FaultKind::LinkDegrade { lanes, gen })
-            .with(recover_at, pf, FaultKind::LinkRecover)
-    }
-
-    /// A randomized plan drawn from `rng`: `count` faults uniformly spread
-    /// over `(0, horizon)`, each targeting a uniformly random PF in
-    /// `0..pf_count` with a uniformly random kind. Deterministic for a given
-    /// RNG state — used by soak tests to show no plan can panic the stack.
-    ///
-    /// # Panics
-    /// Panics if `pf_count` is zero or `horizon` is zero.
-    pub fn randomized(rng: &mut SimRng, horizon: Dur, pf_count: usize, count: usize) -> Self {
-        assert!(pf_count > 0, "need at least one PF to target");
-        assert!(horizon > Dur::ZERO, "horizon must be positive");
-        let mut plan = Self::new();
-        for _ in 0..count {
-            let at = Time::ZERO + Dur::from_ps(1 + rng.below(horizon.as_ps().max(2) - 1));
-            let pf = rng.below(pf_count as u64) as usize;
-            let kind = match rng.below(7) {
-                0 => FaultKind::LinkDown,
-                1 => FaultKind::LinkDegrade {
-                    lanes: *rng.pick(&[1u8, 2, 4, 8]),
-                    gen: 3,
-                },
-                2 => FaultKind::LinkRecover,
-                3 => FaultKind::PfFail,
-                4 => FaultKind::PfRecover,
-                5 => FaultKind::IrqLoss,
-                _ => FaultKind::MediaFault {
-                    errors: 1 + rng.below(3) as u8,
-                },
-            };
-            plan.push(at, pf, kind);
-        }
-        plan
-    }
-
-    /// Total number of events in the plan (including already-popped ones).
+    /// Total number of events in the plan.
     pub fn len(&self) -> usize {
         self.events.len()
     }
@@ -191,35 +133,9 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Number of events not yet popped.
-    pub fn remaining(&self) -> usize {
-        self.events.len() - self.cursor
-    }
-
-    /// The firing time of the next un-popped event, if any. Event loops use
-    /// this to schedule their next fault dispatch.
-    pub fn next_at(&self) -> Option<Time> {
-        self.events.get(self.cursor).map(|e| e.at)
-    }
-
-    /// Pops every event with `at <= now`, in firing order.
-    pub fn pop_due(&mut self, now: Time) -> Vec<FaultEvent> {
-        let start = self.cursor;
-        while self.cursor < self.events.len() && self.events[self.cursor].at <= now {
-            self.cursor += 1;
-        }
-        self.events[start..self.cursor].to_vec()
-    }
-
-    /// All events, in firing order, without consuming them.
+    /// All events, in firing order.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
-    }
-
-    /// Rewinds the pop cursor so the same plan can drive a second run
-    /// (determinism tests replay one plan twice).
-    pub fn rewind(&mut self) {
-        self.cursor = 0;
     }
 }
 
@@ -250,49 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_due_consumes_in_order() {
-        let mut p = FaultPlan::pf_outage(0, Time::from_ms(2), Time::from_ms(6));
-        assert_eq!(p.remaining(), 2);
-        assert!(p.pop_due(Time::from_ms(1)).is_empty());
-        let due = p.pop_due(Time::from_ms(2));
-        assert_eq!(due.len(), 1);
-        assert_eq!(due[0].kind, FaultKind::PfFail);
-        assert_eq!(p.next_at(), Some(Time::from_ms(6)));
-        let due = p.pop_due(Time::from_ms(10));
-        assert_eq!(due[0].kind, FaultKind::PfRecover);
-        assert_eq!(p.remaining(), 0);
-        assert_eq!(p.next_at(), None);
-    }
-
-    #[test]
-    fn rewind_replays() {
-        let mut p = FaultPlan::pf_outage(1, Time::from_ms(1), Time::from_ms(2));
-        let first: Vec<_> = p.pop_due(Time::from_ms(9));
-        p.rewind();
-        let second: Vec<_> = p.pop_due(Time::from_ms(9));
-        assert_eq!(first, second);
-    }
-
-    #[test]
-    #[should_panic(expected = "fixed before the run")]
-    fn push_after_pop_rejected() {
-        let mut p = FaultPlan::pf_outage(0, Time::from_ms(1), Time::from_ms(2));
-        p.pop_due(Time::from_ms(1));
-        p.push(Time::from_ms(5), 0, FaultKind::IrqLoss);
-    }
-
-    #[test]
-    fn randomized_is_deterministic_and_sorted() {
-        let mut r1 = SimRng::seed(0xfa01);
-        let mut r2 = SimRng::seed(0xfa01);
-        let a = FaultPlan::randomized(&mut r1, Dur::from_ms(10), 2, 32);
-        let b = FaultPlan::randomized(&mut r2, Dur::from_ms(10), 2, 32);
-        assert_eq!(a.events(), b.events());
-        assert!(a.events().windows(2).all(|w| w[0].at <= w[1].at));
-        assert!(a.events().iter().all(|e| e.pf < 2));
-    }
-
-    #[test]
     fn overlapping_faults_on_same_pf_keep_insertion_order() {
         // Two outage windows on PF 0 that overlap (the second fail lands
         // while the first is still unrecovered) plus a link fault inside
@@ -304,7 +177,7 @@ mod tests {
         p.push(Time::from_ms(2), 0, FaultKind::PfFail); // overlaps the outage
         p.push(Time::from_ms(2), 0, FaultKind::LinkDown); // same instant, same PF
         assert_eq!(p.len(), 4);
-        let due = p.pop_due(Time::from_ms(10));
+        let due = p.events();
         assert_eq!(due[0].kind, FaultKind::PfFail);
         assert_eq!(due[1].kind, FaultKind::PfFail);
         assert_eq!(due[2].kind, FaultKind::LinkDown);
@@ -313,57 +186,17 @@ mod tests {
 
     #[test]
     fn zero_gap_fail_recover_pair_fires_in_order() {
-        // Fail and recover at the *same instant*: both pop in one pop_due
-        // call, fail first (FIFO on equal times), so the applied state is
+        // Fail and recover at the *same instant*: both fire at one time,
+        // fail first (FIFO on equal times), so the applied state is
         // "recovered" — a flap of zero duration, not a stuck-dead PF.
         let t = Time::from_ms(4);
-        let mut p = FaultPlan::new()
+        let p = FaultPlan::new()
             .with(t, 1, FaultKind::PfFail)
             .with(t, 1, FaultKind::PfRecover);
-        let due = p.pop_due(t);
+        let due = p.events();
         assert_eq!(due.len(), 2);
+        assert!(due.iter().all(|e| e.at == t));
         assert_eq!(due[0].kind, FaultKind::PfFail);
         assert_eq!(due[1].kind, FaultKind::PfRecover);
-        assert_eq!(p.remaining(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "fixed before the run")]
-    fn push_behind_the_cursor_rejected() {
-        // The cursor has already passed 2 ms; pushing an event at 1 ms
-        // would retroactively change history and is rejected outright.
-        let mut p = FaultPlan::pf_outage(0, Time::from_ms(2), Time::from_ms(6));
-        p.pop_due(Time::from_ms(3));
-        p.push(Time::from_ms(1), 0, FaultKind::LinkDown);
-    }
-
-    #[test]
-    fn rewind_reopens_the_plan_for_building() {
-        let mut p = FaultPlan::pf_outage(0, Time::from_ms(1), Time::from_ms(2));
-        p.pop_due(Time::from_ms(5));
-        p.rewind();
-        p.push(Time::from_ms(3), 0, FaultKind::IrqLoss);
-        assert_eq!(p.len(), 3);
-        assert_eq!(p.pop_due(Time::from_ms(5)).len(), 3);
-    }
-
-    #[test]
-    fn randomized_reaches_media_faults() {
-        let mut r = SimRng::seed(0xfa02);
-        let p = FaultPlan::randomized(&mut r, Dur::from_ms(10), 2, 256);
-        assert!(p
-            .events()
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::MediaFault { errors } if errors >= 1)));
-    }
-
-    #[test]
-    fn link_dip_shape() {
-        let p = FaultPlan::link_dip(0, Time::from_ms(1), Time::from_ms(2), 2, 3);
-        assert_eq!(
-            p.events()[0].kind,
-            FaultKind::LinkDegrade { lanes: 2, gen: 3 }
-        );
-        assert_eq!(p.events()[1].kind, FaultKind::LinkRecover);
     }
 }

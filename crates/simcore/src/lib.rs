@@ -11,8 +11,8 @@
 //! * [`BwLink`] — a *bandwidth server*: a shared conduit (QPI link direction,
 //!   DRAM channel, PCIe link, Ethernet wire) on which transfers serialize.
 //!   Congestion emerges from queueing at these servers.
-//! * [`stats`] — counters, rate meters, histograms and time-series samplers
-//!   used to produce the paper's figures.
+//! * [`stats`] — rate meters, histograms and busy meters used to produce
+//!   the paper's figures.
 //!
 //! # Example
 //!

@@ -1,10 +1,8 @@
-//! Measurement primitives: counters, rate meters, histograms, and
-//! time-series samplers.
+//! Measurement primitives: rate meters, histograms, and busy meters.
 //!
 //! The experiment harnesses use these to produce exactly the quantities the
 //! paper plots: throughput in Gb/s, memory bandwidth in Gb/s or GB/s, CPU
-//! utilization in cores, latency averages/percentiles, and per-PF throughput
-//! time series (Figure 14).
+//! utilization in cores, and latency averages/percentiles.
 
 use crate::time::{Dur, Time};
 
@@ -135,55 +133,6 @@ impl Histogram {
     }
 }
 
-/// A time series of `(instant, value)` samples — e.g. per-PF throughput
-/// sampled every 50 ms for Figure 14.
-#[derive(Debug, Clone, Default)]
-pub struct TimeSeries {
-    points: Vec<(Time, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a sample. Samples should be appended in time order.
-    pub fn push(&mut self, at: Time, value: f64) {
-        self.points.push((at, value));
-    }
-
-    /// The recorded samples, in insertion order.
-    pub fn points(&self) -> &[(Time, f64)] {
-        &self.points
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The mean of values whose timestamps fall in `[from, to)`.
-    pub fn mean_in(&self, from: Time, to: Time) -> Option<f64> {
-        let vals: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|(t, _)| *t >= from && *t < to)
-            .map(|(_, v)| *v)
-            .collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum::<f64>() / vals.len() as f64)
-        }
-    }
-}
-
 /// Tracks how busy a core (or any binary-occupancy resource) was, yielding
 /// utilization in fractional "cores" like the paper's CPU-utilization panels.
 #[derive(Debug, Clone, Default)]
@@ -277,17 +226,6 @@ mod tests {
         let mut h = Histogram::new();
         h.record(Dur::from_ns(1));
         let _ = h.percentile(150.0);
-    }
-
-    #[test]
-    fn time_series_window_mean() {
-        let mut ts = TimeSeries::new();
-        ts.push(Time::from_ms(1), 10.0);
-        ts.push(Time::from_ms(2), 20.0);
-        ts.push(Time::from_ms(3), 30.0);
-        assert_eq!(ts.mean_in(Time::from_ms(1), Time::from_ms(3)), Some(15.0));
-        assert_eq!(ts.mean_in(Time::from_ms(5), Time::from_ms(9)), None);
-        assert_eq!(ts.len(), 3);
     }
 
     #[test]

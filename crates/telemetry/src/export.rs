@@ -1,5 +1,4 @@
-//! Trace exporters: native line format, Chrome `trace_event` JSON, and
-//! folded stacks (flamegraph input).
+//! Trace exporters: native line format and Chrome `trace_event` JSON.
 //!
 //! Every exporter is a pure function of the merged record order, formats
 //! integers only (timestamps render as fixed-point microseconds computed
@@ -224,49 +223,6 @@ pub fn to_chrome_json(set: &TraceSet) -> String {
         merged.len(),
         set.overwritten()
     );
-    out
-}
-
-// ---------------------------------------------------------------------
-// Folded stacks
-// ---------------------------------------------------------------------
-
-/// Renders folded stacks (`frame;frame;frame count` per line, sorted),
-/// the input format of flamegraph tooling. DMA frames fold in their
-/// locality/DDIO qualifier and weigh by bytes; other kinds weigh by
-/// occurrence.
-pub fn to_folded(set: &TraceSet) -> String {
-    let merged = set.merged();
-    // (stack, weight) aggregation via a sorted Vec keeps the exporter
-    // free of hash-order concerns.
-    let mut rows: Vec<(String, u64)> = Vec::new();
-    for (d, r) in &merged {
-        let (stack, w) = match r.kind {
-            TraceKind::DmaRead | TraceKind::DmaWrite => {
-                let route = DmaRoute::unpack(r.b);
-                let loc = if route.local { "local" } else { "remote" };
-                (
-                    format!(
-                        "{};{};pf{};{loc};ddio_{}",
-                        d.name(),
-                        r.kind.name(),
-                        route.pf,
-                        ddio_name(route.ddio).replace('/', "_")
-                    ),
-                    r.d,
-                )
-            }
-            _ => (format!("{};{}", d.name(), r.kind.name()), 1),
-        };
-        match rows.binary_search_by(|(s, _)| s.as_str().cmp(stack.as_str())) {
-            Ok(i) => rows[i].1 += w,
-            Err(i) => rows.insert(i, (stack, w)),
-        }
-    }
-    let mut out = String::new();
-    for (s, w) in rows {
-        let _ = writeln!(out, "{s} {w}");
-    }
     out
 }
 
@@ -561,17 +517,6 @@ mod tests {
         let n = json::validate_chrome(&j).unwrap();
         // 5 thread-name metadata events + 4 records.
         assert_eq!(n, 9);
-    }
-
-    #[test]
-    fn folded_weighs_dma_by_bytes() {
-        let set = sample_set();
-        let folded = to_folded(&set);
-        assert!(
-            folded.contains("nic;dma_write;pf0;local;ddio_hit 1448"),
-            "{folded}"
-        );
-        assert!(folded.contains("kernel;irq_delivered 1"), "{folded}");
     }
 
     #[test]

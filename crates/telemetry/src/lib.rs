@@ -17,8 +17,8 @@
 //!   crossings, pre-sized so steady-state recording never allocates.
 //!
 //! [`export`] renders a collected [`trace::TraceSet`] as Chrome
-//! `trace_event` JSON, folded stacks (flamegraph input), or the native
-//! line format the `telemetry-dump` binary pretty-prints and diffs.
+//! `trace_event` JSON or the native line format the `telemetry-dump`
+//! binary pretty-prints and diffs.
 //! Identical seeds produce byte-identical exports, serial or parallel.
 
 #![warn(missing_docs)]

@@ -62,10 +62,7 @@ fn ddio_off_rx(opts: BuildOpts) -> f64 {
     let i = nl.add_app(App::Rx(app));
     nl.start_apps(Time::ZERO);
     nl.run(Time::from_ms(6));
-    match nl.app(i) {
-        App::Rx(a) => a.consumed as f64 * 8.0 / 1e9 / 0.006,
-        _ => unreachable!(),
-    }
+    nl.app(i).progress() as f64 * 8.0 / 1e9 / 0.006
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! the queue, rings, and socket buffers reach a steady footprint during
 //! warmup. After that, running more simulated time must perform **zero**
 //! heap allocations — this test installs a counting global allocator and
-//! holds the line on three windows: a Figure 6 RxStream and the Figure 10
+//! holds the line on three windows: a Figure 6 Rx stream and the Figure 10
 //! key-value machine on the octoNIC and on the remote NIC. If it starts
 //! failing, something on the hot path regained a per-event `Vec`/`Box` or
 //! a container that keeps growing.
@@ -69,17 +69,11 @@ fn rx_stream_window() {
     // ring scratch, socket buffers.
     nl.run(Time::from_ms(8));
     let warm_events = nl.events_processed();
-    let warm_consumed = match nl.app(i) {
-        App::Rx(a) => a.consumed,
-        _ => unreachable!(),
-    };
+    let warm_consumed = nl.app(i).progress();
     assert!(warm_events > 1000, "warmup must exercise the hot path");
 
     let (allocs, events) = window(&mut nl, Time::from_ms(14));
-    let consumed = match nl.app(i) {
-        App::Rx(a) => a.consumed,
-        _ => unreachable!(),
-    };
+    let consumed = nl.app(i).progress();
     assert!(
         consumed > warm_consumed,
         "measurement window must stream data"
@@ -112,14 +106,7 @@ fn key_value_window(p: Placement, min_events: u64) {
         .collect();
     let mut nl = NetLoop::new(duplex);
     let idxs: Vec<usize> = apps.into_iter().map(|a| nl.add_app(App::Kv(a))).collect();
-    let done = |nl: &NetLoop| -> u64 {
-        idxs.iter()
-            .map(|&i| match nl.app(i) {
-                App::Kv(a) => a.done,
-                _ => unreachable!(),
-            })
-            .sum()
-    };
+    let done = |nl: &NetLoop| -> u64 { idxs.iter().map(|&i| nl.app(i).progress()).sum() };
     nl.start_apps(Time::ZERO);
     nl.run(Time::from_ms(30));
     let warm_done = done(&nl);

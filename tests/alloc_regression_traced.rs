@@ -50,10 +50,7 @@ fn traced_steady_state_rx_stream_allocates_nothing() {
     let allocs = allocation_count() - before;
 
     let events = nl.events_processed() - warm_events;
-    let consumed = match nl.app(i) {
-        App::Rx(a) => a.consumed,
-        _ => unreachable!(),
-    };
+    let consumed = nl.app(i).progress();
     assert!(consumed > 0, "measurement window must stream data");
     assert!(events > 5_000, "measurement window too small: {events}");
     assert_eq!(

@@ -8,26 +8,33 @@
 //! EXPERIMENTS.md.
 
 use ioctopus::config::Placement;
+use ioctopus::experiments::colocation::IoKind;
 use ioctopus::experiments::tcp_rr::RrConfig;
 use ioctopus::experiments::{
-    chaos, congestion, failover, memcached, nvme_fio, reconfig, tcp_rr, tcp_stream,
+    chaos, colocation, congestion, failover, memcached, multicore, nvme_fio, reconfig, tcp_rr,
+    tcp_stream,
 };
 use ioctopus::results::{LatencyResult, PfSample, ThroughputResult};
 
-/// `(throughput_gbps, membw_gbps)` as raw bits.
-fn bits(r: &ThroughputResult) -> (u64, u64) {
-    (r.throughput_gbps.to_bits(), r.membw_gbps.to_bits())
+/// Every `f64` field of a throughput result as raw bits: `x`,
+/// `throughput_gbps`, `membw_gbps`, `cpu_cores`, `rate_per_sec`.
+fn bits(r: &ThroughputResult) -> [u64; 5] {
+    [
+        r.x,
+        r.throughput_gbps,
+        r.membw_gbps,
+        r.cpu_cores,
+        r.rate_per_sec,
+    ]
+    .map(f64::to_bits)
 }
 
-fn assert_pinned(what: &str, r: &ThroughputResult, want: (u64, u64)) {
+fn assert_pinned(what: &str, r: &ThroughputResult, want: [u64; 5]) {
     assert_eq!(
         bits(r),
         want,
-        "{what}: got ({}, {}) Gb/s, want ({}, {})",
-        r.throughput_gbps,
-        r.membw_gbps,
-        f64::from_bits(want.0),
-        f64::from_bits(want.1)
+        "{what}: got {r:?}, want {:?}",
+        want.map(f64::from_bits)
     );
 }
 
@@ -39,12 +46,24 @@ fn memcached_half_set_outputs_are_pinned() {
     assert_pinned(
         "memcached ioct",
         &memcached::run(Placement::Octopus, 0.5, 24),
-        (0x404f84a67bb8966f, 0x405477954af6ce11),
+        [
+            0x4049000000000000,
+            0x404f84a67bb8966f,
+            0x405477954af6ce11,
+            0x4007f68c161ac0ef,
+            0x40cdbb1c71c71c72,
+        ],
     );
     assert_pinned(
         "memcached remote",
         &memcached::run(Placement::Remote, 0.5, 24),
-        (0x403f022a1d39b4cf, 0x40529d027b343be8),
+        [
+            0x4049000000000000,
+            0x403f022a1d39b4cf,
+            0x40529d027b343be8,
+            0x4015c0bf77b3eca0,
+            0x40bcdce38e38e38f,
+        ],
     );
 }
 
@@ -55,13 +74,147 @@ fn tcp_rx_64k_outputs_are_pinned() {
     assert_pinned(
         "rx 64 KiB ioct",
         &tcp_stream::run_rx(Placement::Octopus, 65536, 6),
-        (0x4033d16e1c3d4d69, 0x0000000000000000),
+        [
+            0x40f0000000000000,
+            0x4033d16e1c3d4d69,
+            0x0000000000000000,
+            0x3feffb1e69099f5f,
+            0x40e2750000000000,
+        ],
     );
     assert_pinned(
         "rx 64 KiB remote",
         &tcp_stream::run_rx(Placement::Remote, 65536, 6),
-        (0x402e32f0ee144531, 0x40404b53bb68f73b),
+        [
+            0x40f0000000000000,
+            0x402e32f0ee144531,
+            0x40404b53bb68f73b,
+            0x3ff007db4ae14724,
+            0x40dc200000000000,
+        ],
     );
+}
+
+/// Figure 7 at 64 KiB: TSO sends whose DMA reads hit the LLC for ioct and
+/// cross to remote DRAM for remote; the client's GRO-batched receives
+/// drive the credit loop.
+#[test]
+fn tcp_tx_64k_outputs_are_pinned() {
+    assert_pinned(
+        "tx 64 KiB ioct",
+        &tcp_stream::run_tx(Placement::Octopus, 65536, 6),
+        [
+            0x40f0000000000000,
+            0x404838dbe9a0422a,
+            0x3fa838dbe9a0422a,
+            0x3fecfb30f7b36f1c,
+            0x40f68f0000000000,
+        ],
+    );
+    assert_pinned(
+        "tx 64 KiB remote",
+        &tcp_stream::run_tx(Placement::Remote, 65536, 6),
+        [
+            0x40f0000000000000,
+            0x40488963c1707838,
+            0x4048af8ece647c81,
+            0x3feda3fb34afae2f,
+            0x40f6da0000000000,
+        ],
+    );
+}
+
+/// Figure 11 under 4 STREAM pairs: the receive stream shares the
+/// interconnect and DRAM servers with STREAM steps.
+#[test]
+fn fig11_outputs_are_pinned() {
+    assert_pinned(
+        "fig11 ioct",
+        &congestion::run_fig11(Placement::Octopus, 4, 10),
+        [
+            0x4010000000000000,
+            0x4033cab81f969e3c,
+            0x406cd5f99c38b04b,
+            0x402205679481e048,
+            0x40e26ec000000000,
+        ],
+    );
+    assert_pinned(
+        "fig11 remote",
+        &congestion::run_fig11(Placement::Remote, 4, 10),
+        [
+            0x4010000000000000,
+            0x4023a92a30553261,
+            0x406f7801b4352651,
+            0x4021ad6141c41aa2,
+            0x40d24f8000000000,
+        ],
+    );
+}
+
+/// §5.1.1's multi-core run with 4 instances: several streams sum into one
+/// result, and the octoNIC spreads them over both sockets.
+#[test]
+fn multicore_outputs_are_pinned() {
+    assert_pinned(
+        "multicore ioct",
+        &multicore::run_rx(Placement::Octopus, 4, 6),
+        [
+            0x4010000000000000,
+            0x4053d16e1c3d4d69,
+            0x4041f53edbdde1c8,
+            0x401000fc85a8f522,
+            0x4102750000000000,
+        ],
+    );
+    assert_pinned(
+        "multicore remote",
+        &multicore::run_rx(Placement::Remote, 4, 6),
+        [
+            0x4010000000000000,
+            0x40320916fff6c5c5,
+            0x4043898cdc1bf529,
+            0x40101773b00fa296,
+            0x40e0cc0000000000,
+        ],
+    );
+}
+
+/// Figure 13 at 40 PageRank chunks and a 10 ms deadline: PageRank
+/// finishes in every configuration, so both fields are finite.
+#[test]
+fn colocation_outputs_are_pinned() {
+    // (placement, I/O kind, [pr_time_ms, io_metric])
+    let points = [
+        (
+            Placement::Octopus,
+            IoKind::Netperf,
+            [0x40055a6e3d7ded74, 0x405291b31b4adf22],
+        ),
+        (
+            Placement::Octopus,
+            IoKind::Memcached,
+            [0x400d9db0dab16f82, 0x402599999999999a],
+        ),
+        (
+            Placement::Remote,
+            IoKind::Netperf,
+            [0x4018ed6f63a9e256, 0x4037b2a42c9a92be],
+        ),
+        (
+            Placement::Remote,
+            IoKind::Memcached,
+            [0x400cb873126018b3, 0x4021cccccccccccd],
+        ),
+    ];
+    for (p, io, want) in points {
+        let r = colocation::run(p, io, 40, 10);
+        assert_eq!(
+            [r.pr_time_ms, r.io_metric].map(f64::to_bits),
+            want,
+            "colocation {p:?} {io:?}: got {r:?}"
+        );
+    }
 }
 
 /// Figure 15 under 5 STREAMs, 8 ms. The legacy point DMA-writes node-1
@@ -92,9 +245,10 @@ fn nvme_fio_outputs_are_pinned() {
     }
 }
 
-/// `(mean_us, p90_us, p99_us)` as raw bits.
-fn latency_bits(r: &LatencyResult) -> [u64; 3] {
-    [r.mean_us, r.p90_us, r.p99_us].map(f64::to_bits)
+/// Every `f64` field of a latency result as raw bits: `x`, `mean_us`,
+/// `p90_us`, `p99_us`.
+fn latency_bits(r: &LatencyResult) -> [u64; 4] {
+    [r.x, r.mean_us, r.p90_us, r.p99_us].map(f64::to_bits)
 }
 
 /// FNV-1a over the raw bits of every sample of a per-PF timeline: one
@@ -117,13 +271,23 @@ fn tcp_rr_outputs_are_pinned() {
             "ll 64 B",
             RrConfig::Ll,
             64,
-            [0x40254e030c23fab1, 0x402554450268900c, 0x402554450268900c],
+            [
+                0x4050000000000000,
+                0x40254e030c23fab1,
+                0x402554450268900c,
+                0x402554450268900c,
+            ],
         ),
         (
             "rr 4 KiB",
             RrConfig::Rr,
             4096,
-            [0x40357fb03e20ccff, 0x403586fa0d77b7c8, 0x403586fa0d77b7c8],
+            [
+                0x40b0000000000000,
+                0x40357fb03e20ccff,
+                0x403586fa0d77b7c8,
+                0x403586fa0d77b7c8,
+            ],
         ),
     ];
     for (what, cfg, msg, want) in points {
@@ -140,7 +304,12 @@ fn fig12_remote_latency_is_pinned() {
     let r = congestion::run_fig12(Placement::Remote, 4, 40);
     assert_eq!(
         latency_bits(&r),
-        [0x40823cf2b6f19935, 0x408236d1904b3c3e, 0x40838f0fdb8fde2f],
+        [
+            0x4010000000000000,
+            0x40823cf2b6f19935,
+            0x408236d1904b3c3e,
+            0x40838f0fdb8fde2f,
+        ],
         "fig12 remote: got {r:?}"
     );
     assert_eq!(r.transactions, 56);

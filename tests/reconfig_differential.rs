@@ -58,7 +58,7 @@ fn build_loop(plan: &FaultPlan) -> NetLoop {
 /// Runs the loop to the quiesce point, discards the (possibly divergent)
 /// prefix checksum, resumes an identical second workload, and returns the
 /// post-restore window checksum plus its round-trip count.
-fn resume_and_finish(nl: &mut NetLoop) -> (u64, u64, usize) {
+fn resume_and_finish(nl: &mut NetLoop) -> (u64, u64, u64) {
     nl.run(RESUME_AT);
     let prefix = nl.take_checksum();
     let app = App::Rr(make_rr(
@@ -75,10 +75,7 @@ fn resume_and_finish(nl: &mut NetLoop) -> (u64, u64, usize) {
     nl.start_apps(RESUME_AT);
     nl.run(END_AT);
     nl.run_audit();
-    let done = match nl.app(idx) {
-        App::Rr(a) => a.done,
-        _ => unreachable!(),
-    };
+    let done = nl.app(idx).progress();
     (prefix, nl.take_checksum(), done)
 }
 

@@ -13,23 +13,21 @@ use ioctopus::sweep;
 use telemetry::export;
 
 /// One traced Figure 7 point, exported every way we know how.
-fn traced_exports(msg: u64) -> (String, String, String) {
+fn traced_exports(msg: u64) -> (String, String) {
     let (_, telem) = tcp_stream::run_tx_traced(Placement::Octopus, msg, 2, 1 << 12);
     (
         export::to_native(&telem.trace),
         export::to_chrome_json(&telem.trace),
-        export::to_folded(&telem.trace),
     )
 }
 
 #[test]
 fn identical_runs_produce_byte_identical_trace_exports() {
-    let (n1, c1, f1) = traced_exports(16384);
-    let (n2, c2, f2) = traced_exports(16384);
+    let (n1, c1) = traced_exports(16384);
+    let (n2, c2) = traced_exports(16384);
     assert!(n1.lines().count() > 10, "trace must have content");
     assert_eq!(n1, n2, "native export must be byte-identical across runs");
     assert_eq!(c1, c2, "chrome export must be byte-identical across runs");
-    assert_eq!(f1, f2, "folded export must be byte-identical across runs");
 }
 
 #[test]
@@ -45,12 +43,11 @@ fn traced_sweep_parallel_is_byte_identical_to_serial() {
 
 #[test]
 fn exports_roundtrip_and_validate() {
-    let (native, chrome, folded) = traced_exports(16384);
+    let (native, chrome) = traced_exports(16384);
     let parsed = export::parse_native(&native).expect("native export parses back");
     assert!(!parsed.is_empty());
     let events = export::json::validate_chrome(&chrome).expect("chrome schema");
     assert!(events > parsed.len(), "metadata events + records");
-    assert!(folded.lines().all(|l| l.rsplit_once(' ').is_some()));
 }
 
 #[test]
