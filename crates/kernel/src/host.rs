@@ -310,22 +310,16 @@ impl Host {
             queue_node.push(node);
             queue_irq_core.push(core);
             let mut pool = BufPool::new(mem, node, cfg.rx_buf_bytes, cfg.rx_buffers_per_queue);
-            // Fill the ring from the pool.
-            while let Some(buf) = pool.take() {
-                if nic
-                    .post_rx(
-                        q,
-                        RxDesc {
-                            addr: buf,
-                            len: cfg.rx_buf_bytes,
-                        },
-                    )
-                    .is_none()
-                {
-                    pool.put(buf);
-                    break;
-                }
-            }
+            // Fill the ring from the pool in one step. Every ring starts
+            // full, because RSS fallback can steer a packet to any queue.
+            let fill = pool.available().min(nic.config().ring_entries);
+            nic.fill_rx(
+                q,
+                (0..fill).map(|_| RxDesc {
+                    addr: pool.take().expect("counted above"),
+                    len: cfg.rx_buf_bytes,
+                }),
+            );
             rx_pools.push(pool);
             q
         };

@@ -592,6 +592,20 @@ impl Nic {
         self.queue_mut(q)?.rx_ring.post(desc)
     }
 
+    /// The driver posts `descs` to `q`'s Rx ring in one step when it sets
+    /// the queue up: the same ring as one [`Nic::post_rx`] per buffer, in
+    /// order.
+    ///
+    /// # Panics
+    /// Panics if the queue does not exist or `descs` does not fit its Rx
+    /// ring.
+    pub fn fill_rx(&mut self, q: QueueId, descs: impl ExactSizeIterator<Item = RxDesc>) {
+        self.queue_mut(q)
+            .expect("fill_rx on an attached queue")
+            .rx_ring
+            .fill(descs);
+    }
+
     /// The driver posts a Tx descriptor. Returns the slot address, or
     /// `None` if the ring is full or the queue does not exist.
     pub fn post_tx(&mut self, q: QueueId, desc: TxDesc) -> Option<PhysAddr> {

@@ -8,10 +8,10 @@
 //! doorbell; the device `dma_read`s it before processing.
 //!
 //! Entries occupy consecutive slots from `head`, so no entry stores its
-//! slot. The deque takes host memory only at the first post, and then the
-//! ring's whole capacity at once: the driver builds rings for every core on
-//! every PF and most of them never carry an entry, while a ring that does
-//! never grows again.
+//! slot. The deque takes host memory only at the first post or fill, and
+//! then the ring's whole capacity at once: the driver builds rings for
+//! every core on every PF and most of them never carry an entry, while a
+//! ring that does never grows again.
 
 use std::collections::VecDeque;
 
@@ -27,8 +27,6 @@ pub struct DescRing<T> {
     /// `entries.len()` after it.
     head: usize,
     entries: VecDeque<T>,
-    posted_total: u64,
-    consumed_total: u64,
 }
 
 impl<T> DescRing<T> {
@@ -46,14 +44,7 @@ impl<T> DescRing<T> {
             capacity,
             head: 0,
             entries: VecDeque::new(),
-            posted_total: 0,
-            consumed_total: 0,
         }
-    }
-
-    /// Total bytes of host memory the ring occupies.
-    pub fn footprint_bytes(&self) -> u64 {
-        self.entry_bytes * self.capacity as u64
     }
 
     /// The slot `n` places after `slot`, for `slot, n < capacity`.
@@ -86,12 +77,34 @@ impl<T> DescRing<T> {
     /// ring is full.
     pub fn post(&mut self, entry: T) -> Option<PhysAddr> {
         let addr = self.next_slot_addr()?;
+        self.take_storage();
+        self.entries.push_back(entry);
+        Some(addr)
+    }
+
+    /// Posts every entry of `entries` in one step, in order: the same
+    /// entries and slots as posting them one at a time.
+    ///
+    /// # Panics
+    /// Panics if `entries` does not fit the ring's free slots.
+    pub fn fill(&mut self, entries: impl ExactSizeIterator<Item = T>) {
+        let n = entries.len();
+        assert!(
+            n <= self.capacity - self.entries.len(),
+            "{n} entries overflow a ring with {} free slots",
+            self.capacity - self.entries.len()
+        );
+        if n > 0 {
+            self.take_storage();
+            self.entries.extend(entries);
+        }
+    }
+
+    /// Reserves the whole ring's storage if the ring holds none yet.
+    fn take_storage(&mut self) {
         if self.entries.capacity() == 0 {
             self.entries.reserve_exact(self.capacity);
         }
-        self.entries.push_back(entry);
-        self.posted_total += 1;
-        Some(addr)
     }
 
     /// Consumes the oldest entry; returns it with its slot address, or
@@ -100,7 +113,6 @@ impl<T> DescRing<T> {
         let entry = self.entries.pop_front()?;
         let addr = self.slot_addr(self.head);
         self.head = self.wrap(self.head, 1);
-        self.consumed_total += 1;
         Some((addr, entry))
     }
 
@@ -134,16 +146,6 @@ impl<T> DescRing<T> {
     /// Slot capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Entries ever posted.
-    pub fn posted_total(&self) -> u64 {
-        self.posted_total
-    }
-
-    /// Entries ever consumed.
-    pub fn consumed_total(&self) -> u64 {
-        self.consumed_total
     }
 }
 
@@ -199,18 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn footprint_and_counters() {
-        let mut r = ring(8);
-        assert_eq!(r.footprint_bytes(), 512);
-        r.post(1);
-        r.post(2);
-        r.consume();
-        assert_eq!(r.posted_total(), 2);
-        assert_eq!(r.consumed_total(), 1);
-        assert_eq!(r.len(), 1);
-    }
-
-    #[test]
     fn peek_is_nondestructive() {
         let mut r = ring(2);
         r.post(9);
@@ -235,6 +225,7 @@ mod tests {
         let reserved = r.entries.capacity();
         assert!(reserved >= cap, "first post reserved {reserved} of {cap}");
         // Fill, then cycle through several wraps at every fill level.
+        // `next` is the next entry, and so the number of posts so far.
         let mut next = 1;
         while r.post(next).is_some() {
             next += 1;
@@ -249,7 +240,63 @@ mod tests {
             assert!(r.is_full());
             assert_eq!(r.entries.capacity(), reserved, "round {round} grew");
         }
-        assert!(r.posted_total() > 3 * cap as u64, "must wrap several times");
+        assert!(next as usize > 3 * cap, "must wrap several times");
+    }
+
+    #[test]
+    fn empty_fill_holds_no_storage() {
+        let mut r = ring(8);
+        r.fill(std::iter::empty());
+        assert!(r.is_empty());
+        assert_eq!(r.entries.capacity(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn fill_past_the_free_slots_panics() {
+        let mut r = ring(4);
+        r.post(0);
+        r.fill(1..5);
+    }
+
+    #[test]
+    fn prop_fill_matches_one_post_at_a_time() {
+        let mut rng = SimRng::seed(0xf111);
+        for case in 0..64 {
+            let cap = 1 + rng.below(9) as usize;
+            let base = PhysAddr(0x4000 * (1 + rng.below(64)));
+            let mut filled = DescRing::new(base, 64, cap);
+            let mut posted = DescRing::new(base, 64, cap);
+            // The same head and entries on both before the fill.
+            for i in 0..rng.below(2 * cap as u64) as u32 {
+                filled.post(i).unwrap();
+                posted.post(i).unwrap();
+                filled.consume().unwrap();
+                posted.consume().unwrap();
+            }
+            for i in 0..rng.below(cap as u64) as u32 {
+                filled.post(50 + i).unwrap();
+                posted.post(50 + i).unwrap();
+            }
+            let n = rng.below((cap - posted.len()) as u64 + 1) as u32;
+            filled.fill(100..100 + n);
+            for e in 100..100 + n {
+                posted.post(e).unwrap();
+            }
+            let at = format!("case {case} (cap {cap}, fill {n})");
+            assert!(filled.iter().eq(posted.iter()), "{at}: entries");
+            assert_eq!(filled.entries.capacity(), posted.entries.capacity(), "{at}");
+            // Then the same schedule on both, through several wraps.
+            for step in 0..8 * cap as u32 {
+                if rng.chance(0.5) {
+                    assert_eq!(filled.post(step), posted.post(step), "{at} step {step}");
+                } else {
+                    assert_eq!(filled.consume(), posted.consume(), "{at} step {step}");
+                }
+                assert_eq!(filled.next_slot_addr(), posted.next_slot_addr(), "{at}");
+                assert_eq!(filled.len(), posted.len(), "{at}");
+            }
+        }
     }
 
     /// The ring as it was when every entry stored its slot index and slots

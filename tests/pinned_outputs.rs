@@ -11,8 +11,8 @@ use ioctopus::config::Placement;
 use ioctopus::experiments::colocation::IoKind;
 use ioctopus::experiments::tcp_rr::RrConfig;
 use ioctopus::experiments::{
-    chaos, colocation, congestion, failover, memcached, multicore, nvme_fio, reconfig, tcp_rr,
-    tcp_stream,
+    chaos, colocation, congestion, failover, memcached, migration, multicore, nvme_fio, pktgen,
+    reconfig, tcp_rr, tcp_stream,
 };
 use ioctopus::results::{LatencyResult, PfSample, ThroughputResult};
 
@@ -93,6 +93,128 @@ fn tcp_rx_64k_outputs_are_pinned() {
             0x40dc200000000000,
         ],
     );
+}
+
+/// Figure 6 at 256 B: every segment takes its own Rx buffer, and the
+/// receive path hands each one back to its pool and re-posts it.
+#[test]
+fn tcp_rx_256_outputs_are_pinned() {
+    assert_pinned(
+        "rx 256 B ioct",
+        &tcp_stream::run_rx(Placement::Octopus, 256, 6),
+        [
+            0x4070000000000000,
+            0x4004544adaefa53f,
+            0x3f963ad4e8244128,
+            0x3ff000b03565b325,
+            0x4132eee000000000,
+        ],
+    );
+    assert_pinned(
+        "rx 256 B remote",
+        &tcp_stream::run_rx(Placement::Remote, 256, 6),
+        [
+            0x4070000000000000,
+            0x4000f0124c32de79,
+            0x401776089ad934ba,
+            0x3ff00658c51d68e2,
+            0x412f8c9000000000,
+        ],
+    );
+}
+
+/// Figure 8's pktgen at both packet sizes, and the §2.4 ablation that
+/// moves the completion rings next to the device: every packet takes a
+/// Tx kernel buffer from its node's pool.
+#[test]
+fn pktgen_outputs_are_pinned() {
+    let points = [
+        (
+            "64 B ioct",
+            Placement::Octopus,
+            64,
+            false,
+            [
+                0x4050000000000000,
+                0x4003a92a30553261,
+                0x0000000000000000,
+                0x3ff0000000000000,
+                0x41524f8000000000,
+            ],
+        ),
+        (
+            "64 B remote",
+            Placement::Remote,
+            64,
+            false,
+            [
+                0x4050000000000000,
+                0x3ffdb5abd74229ff,
+                0x401dc0db2702a349,
+                0x3ff0000000000000,
+                0x414bab5555555555,
+            ],
+        ),
+        (
+            "64 B remote, device-local rings",
+            Placement::Remote,
+            64,
+            true,
+            [
+                0x4050000000000000,
+                0x3ffdb5abd74229ff,
+                0x40165370313218c8,
+                0x3ff0000000000000,
+                0x414bab5555555555,
+            ],
+        ),
+        (
+            "1500 B ioct",
+            Placement::Octopus,
+            1500,
+            false,
+            [
+                0x4097700000000000,
+                0x4050000000000000,
+                0x0000000000000000,
+                0x3ff0000000000000,
+                0x4154585555555555,
+            ],
+        ),
+        (
+            "1500 B remote",
+            Placement::Remote,
+            1500,
+            false,
+            [
+                0x4097700000000000,
+                0x4045e353f7ced916,
+                0x40493708aac96cc6,
+                0x3ff0000000000000,
+                0x414bd50000000000,
+            ],
+        ),
+        (
+            "1500 B remote, device-local rings",
+            Placement::Remote,
+            1500,
+            true,
+            [
+                0x4097700000000000,
+                0x4045c28f5c28f5c3,
+                0x40482396073de1e2,
+                0x3ff0000000000000,
+                0x414bab5555555555,
+            ],
+        ),
+    ];
+    for (what, p, bytes, rings_device_local, want) in points {
+        assert_pinned(
+            &format!("pktgen {what}"),
+            &pktgen::run(p, bytes, 4, rings_device_local),
+            want,
+        );
+    }
 }
 
 /// Figure 7 at 64 KiB: TSO sends whose DMA reads hit the LLC for ioct and
@@ -332,6 +454,19 @@ fn failover_timeline_is_pinned() {
     );
     assert_eq!(r.samples.len(), 199);
     assert_eq!(timeline_bits(&r.samples), 0x13738819dc776865);
+}
+
+/// Figure 14: the receiving thread moves to the far socket mid-stream, so
+/// its segments switch queues (and buffer pools) on octoNIC and stay on
+/// the old PF with the standard driver.
+#[test]
+fn migration_timelines_are_pinned() {
+    for (octo, want) in [(true, 0x33721a538bd9d304), (false, 0x9958a342b66fc2b4)] {
+        let r = migration::run(octo);
+        assert_eq!((r.ooo_packets, r.dropped), (0, 0), "{}", r.config);
+        assert_eq!(r.samples.len(), 199, "{}", r.config);
+        assert_eq!(timeline_bits(&r.samples), want, "{}", r.config);
+    }
 }
 
 /// The surprise-removal → re-enumeration cycle: counters, the transition
