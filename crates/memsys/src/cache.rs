@@ -2,7 +2,8 @@
 //!
 //! The model is set-associative with dense, directly indexed sets (a flat
 //! zero-initialized slab of 4-byte way words, `ways` consecutive words per
-//! set, so first-touching a set never allocates), in MESI-lite: a line is
+//! set, allocated whole at the cache's first fill, so first-touching a set
+//! never allocates), in MESI-lite: a line is
 //! either `Shared` (clean, possibly in several LLCs) or
 //! `Modified` (dirty, in exactly one LLC — the [`system`](crate::system)
 //! façade enforces that invariant by invalidating other caches).
@@ -107,11 +108,16 @@ impl LlcConfig {
 ///   `cpu_walk` is monomorphized on whether it writes and whether any
 ///   peer holds a line of its home, so a walk no peer can answer carries
 ///   no peer state.
-/// * The slab is zero-initialized primitive arrays: `vec![0; n]` takes the
-///   zeroed-page allocation path, so construction costs four allocator
-///   calls regardless of geometry, and no word is ever allocated lazily
-///   during simulation. The arrays never change length, so they are held
-///   as boxed slices.
+/// * The slab is two zero-initialized primitive arrays, `words` and
+///   `lens`, allocated whole by the first filling walk (`cpu_walk` or
+///   `ddio_fill`, one check per walk), so an LLC that no device or core
+///   ever fills holds none: a device fills only its home LLC (DDIO), and
+///   many machines run their apps on one socket. After that the arrays
+///   never change length, so they are held as boxed slices and later
+///   walks never allocate. An unfilled LLC holds no line, so `holds_home`
+///   is false for it and no snoop, invalidation or resident count reaches
+///   it; [`peek`](Self::peek), [`resident_lines`](Self::resident_lines)
+///   and [`flush_all`](Self::flush_all) treat it as empty.
 /// * `home_lines` counts the resident lines of each home node exactly, so
 ///   a snoop or invalidation walk can skip a cache that holds no line of
 ///   the access's home without scanning a set (`holds_home`). Only the
@@ -123,9 +129,10 @@ pub struct Llc {
     cfg: LlcConfig,
     /// Way words, `tag << TAG_SHIFT | DIRTY | DDIO`; the first `lens[set]`
     /// words of each set's range are its resident lines, most recently
-    /// used first.
+    /// used first. Empty until the first fill.
     words: Box<[u32]>,
-    /// Resident-line count per set (dense prefix length).
+    /// Resident-line count per set (dense prefix length). Empty until the
+    /// first fill.
     lens: Box<[u8]>,
     /// Resident-line count per home node, indexed by `NodeId.0`.
     home_lines: Box<[u32]>,
@@ -176,6 +183,7 @@ fn evict(
 impl Llc {
     /// Creates an empty LLC with the given geometry, for a machine of
     /// `nodes` NUMA nodes: every line it holds must have a home below that.
+    /// It holds no slab until its first fill.
     ///
     /// # Panics
     /// Panics if the geometry is degenerate (zero ways, zero DDIO ways,
@@ -192,12 +200,14 @@ impl Llc {
             "tags hold an 8-bit home"
         );
         let n_sets = cfg.sets() as usize;
-        let slots = n_sets * cfg.ways;
-        assert!(slots <= u32::MAX as usize, "residency counts are u32");
+        assert!(
+            n_sets * cfg.ways <= u32::MAX as usize,
+            "residency counts are u32"
+        );
         Llc {
             cfg,
-            words: vec![0; slots].into_boxed_slice(),
-            lens: vec![0; n_sets].into_boxed_slice(),
+            words: Box::default(),
+            lens: Box::default(),
             home_lines: vec![0; nodes].into_boxed_slice(),
             bases: (0..nodes as u64)
                 .map(|home| (home << HOME_LINE_SHIFT) / n_sets as u64)
@@ -211,6 +221,19 @@ impl Llc {
     /// The configured geometry.
     pub fn config(&self) -> LlcConfig {
         self.cfg
+    }
+
+    /// Whether the slab exists: a walk has filled this LLC at least once.
+    fn filled(&self) -> bool {
+        !self.lens.is_empty()
+    }
+
+    /// Allocates the zeroed slab, every set empty, at the first fill.
+    #[cold]
+    #[inline(never)]
+    fn alloc_slab(&mut self) {
+        self.words = vec![0; self.n_sets * self.cfg.ways].into_boxed_slice();
+        self.lens = vec![0; self.n_sets].into_boxed_slice();
     }
 
     /// The runs of consecutive sets that the `lines` lines from `first`,
@@ -312,7 +335,8 @@ impl Llc {
     /// The walk snoops only if some peer holds a line of the home when it
     /// starts. That is exact: a walk only removes lines from its peers, so
     /// a peer that holds none of the home's lines then holds none until
-    /// the walk ends.
+    /// the walk ends. A peer no walk has filled holds no line, so it is
+    /// never snooped.
     pub(crate) fn cpu_walk(
         &mut self,
         before: &mut [Llc],
@@ -322,6 +346,9 @@ impl Llc {
         write: bool,
         writebacks: &mut [u64],
     ) -> (u64, u64, u64, u64) {
+        if !self.filled() {
+            self.alloc_slab();
+        }
         let home = (first >> HOME_LINE_SHIFT) as usize;
         let snoop = before
             .iter()
@@ -455,6 +482,9 @@ impl Llc {
     /// `ddio_ways` lines, and otherwise where a CPU fill would go, a free
     /// way or the set's last word.
     pub(crate) fn ddio_fill(&mut self, first: u64, lines: u64, writebacks: &mut [u64]) -> u64 {
+        if !self.filled() {
+            self.alloc_slab();
+        }
         let home = (first >> HOME_LINE_SHIFT) as usize;
         let (ways, ddio_ways) = (self.cfg.ways, self.cfg.ddio_ways);
         let mut resident = self.home_lines[home];
@@ -511,8 +541,10 @@ impl Llc {
 
     /// Drops this LLC's copies of the `lines` lines from `first`, all of
     /// one home. The words behind each dropped one move up one place, so
-    /// its set stays in recency order.
+    /// its set stays in recency order. Callers reach it only through
+    /// [`holds_home`](Self::holds_home), so the slab exists.
     pub(crate) fn invalidate_lines(&mut self, first: u64, lines: u64) {
+        debug_assert!(self.filled(), "invalidation walk of an unfilled LLC");
         let home = (first >> HOME_LINE_SHIFT) as usize;
         let ways = self.cfg.ways;
         let mut resident = self.home_lines[home];
@@ -531,8 +563,10 @@ impl Llc {
     }
 
     /// How many of the `lines` lines from `first`, all of one home, this
-    /// LLC holds, without touching recency or statistics.
+    /// LLC holds, without touching recency or statistics. Callers reach it
+    /// only through [`holds_home`](Self::holds_home), so the slab exists.
     pub(crate) fn resident_of(&self, first: u64, lines: u64) -> u64 {
+        debug_assert!(self.filled(), "resident count of an unfilled LLC");
         let ways = self.cfg.ways;
         let mut resident = 0;
         for (tag, sets) in self.runs(first, lines) {
@@ -547,8 +581,10 @@ impl Llc {
 
     /// Removes the line tagged `tag` from `set`, returning the state it had.
     /// The words behind it move up one place, so the set stays in recency
-    /// order.
+    /// order. Snoops reach it only when this LLC holds a line of `tag`'s
+    /// home, so the slab exists.
     fn invalidate_at(&mut self, set: usize, tag: u32) -> Option<LineState> {
+        debug_assert!(self.filled(), "snoop of an unfilled LLC");
         let at = self.find(set, tag)?;
         let start = set * self.cfg.ways;
         let words = &mut self.words[start..start + self.lens[set] as usize];
@@ -560,8 +596,9 @@ impl Llc {
     }
 
     /// Downgrades the line tagged `tag` in `set` to `Shared`, returning the
-    /// state it had.
+    /// state it had. Reached, like `invalidate_at`, only on a filled LLC.
     fn downgrade_at(&mut self, set: usize, tag: u32) -> Option<LineState> {
+        debug_assert!(self.filled(), "snoop of an unfilled LLC");
         let at = self.find(set, tag)?;
         let word = &mut self.words[set * self.cfg.ways + at];
         let state = Self::state_of(*word);
@@ -570,9 +607,12 @@ impl Llc {
     }
 
     /// Looks up without disturbing recency or statistics (snoop from another
-    /// agent).
+    /// agent). An LLC no walk has filled holds nothing.
     pub fn peek(&self, addr: PhysAddr) -> Option<LineState> {
         let (tag, set) = self.locate(addr.line());
+        if !self.filled() {
+            return None;
+        }
         self.find(set, tag)
             .map(|at| Self::state_of(self.words[set * self.cfg.ways + at]))
     }
@@ -593,7 +633,8 @@ impl Llc {
     }
 
     /// Drops every line, as after `wbinvd`. Dirty data is discarded; tests
-    /// use this to construct cold-cache scenarios. Set storage is retained.
+    /// use this to construct cold-cache scenarios. Set storage is retained,
+    /// and an unfilled LLC stays without it.
     pub fn flush_all(&mut self) {
         self.lens.fill(0);
         self.home_lines.fill(0);
@@ -613,13 +654,27 @@ mod tests {
             (self.bases[Self::home_of(tag)] + rel) * self.n_sets as u64 + set as u64
         }
 
+        /// The resident words of `set`, most recently used first. Every
+        /// set of an unfilled LLC is empty.
+        fn set_words(&self, set: usize) -> &[u32] {
+            if !self.filled() {
+                return &[];
+            }
+            let start = set * self.cfg.ways;
+            &self.words[start..start + self.lens[set] as usize]
+        }
+
         /// The resident lines of `set`, most recently used first.
         fn set_lines(&self, set: usize) -> Vec<u64> {
-            let start = set * self.cfg.ways;
-            self.words[start..start + self.lens[set] as usize]
+            self.set_words(set)
                 .iter()
                 .map(|&w| self.line_of(w >> TAG_SHIFT, set))
                 .collect()
+        }
+
+        /// Host bytes of the slab: its way words and occupancy counts.
+        pub(crate) fn slab_bytes(&self) -> usize {
+            std::mem::size_of_val(&*self.words) + std::mem::size_of_val(&*self.lens)
         }
     }
 
@@ -634,14 +689,17 @@ mod tests {
         c.ddio_fill(addr.line(), 1, wb);
     }
 
+    /// Drops `c`'s copy of the line at `addr`; an unfilled LLC has none.
     fn invalidate(c: &mut Llc, addr: PhysAddr) -> Option<LineState> {
         let (tag, set) = c.locate(addr.line());
-        c.invalidate_at(set, tag)
+        c.filled().then(|| c.invalidate_at(set, tag)).flatten()
     }
 
+    /// Downgrades `c`'s copy of the line at `addr`; an unfilled LLC has
+    /// none.
     fn downgrade(c: &mut Llc, addr: PhysAddr) -> Option<LineState> {
         let (tag, set) = c.locate(addr.line());
-        c.downgrade_at(set, tag)
+        c.filled().then(|| c.downgrade_at(set, tag)).flatten()
     }
 
     /// `Llc::cpu_walk` by `llcs[node]`, its peers around it.
@@ -889,8 +947,7 @@ mod tests {
                 }
                 let mut recount = [0u32; 2];
                 for set in 0..c.n_sets {
-                    let start = set * c.cfg.ways;
-                    for &w in &c.words[start..start + c.lens[set] as usize] {
+                    for &w in c.set_words(set) {
                         recount[Llc::home_of(w >> TAG_SHIFT)] += 1;
                     }
                 }
@@ -1162,9 +1219,11 @@ mod tests {
     /// the same flags, and the same counters.
     fn assert_same(llc: &Llc, oracle: &StampLlc, at: &str) {
         for set in 0..llc.n_sets {
-            let start = set * llc.cfg.ways;
-            let words = &llc.words[start..start + llc.lens[set] as usize];
-            assert_eq!(words, oracle.words(set, llc), "{at}: set {set}");
+            assert_eq!(
+                llc.set_words(set),
+                oracle.words(set, llc),
+                "{at}: set {set}"
+            );
         }
         assert_eq!(*llc.home_lines, *oracle.home_lines, "{at}: home_lines");
         assert_eq!(
@@ -1210,9 +1269,10 @@ mod tests {
                     // the home node does; a CPU walk runs on any node.
                     let dirty = if r.chance(0.25) {
                         let node = home as usize;
-                        // The other LLCs' copies go first, as in `dma_write`.
+                        // The other LLCs' copies go first, as in `dma_write`,
+                        // from each LLC that holds a line of the home.
                         for (peer, llc) in walked.iter_mut().enumerate() {
-                            if peer != node {
+                            if peer != node && llc.holds_home(NodeId(node)) {
                                 llc.invalidate_lines(first, lines);
                             }
                         }
@@ -1252,12 +1312,15 @@ mod tests {
                     assert_eq!(dirty, added, "{at}: returned dirty lines");
                     for (w, o) in walked.iter().zip(&oracle) {
                         assert_same(w, o, &at);
+                        // As in `dma_read`: an LLC that holds no line of
+                        // the home holds none of the walk's lines.
+                        let resident = if w.holds_home(NodeId(home as usize)) {
+                            w.resident_of(first, lines)
+                        } else {
+                            0
+                        };
                         let held = span.clone().filter(|&line| o.find(line).is_some());
-                        assert_eq!(
-                            w.resident_of(first, lines),
-                            held.count() as u64,
-                            "{at}: resident_of"
-                        );
+                        assert_eq!(resident, held.count() as u64, "{at}: resident_of");
                     }
                     assert_eq!(walked_wb, oracle_wb, "{at}: writebacks");
                 }
@@ -1338,7 +1401,55 @@ mod tests {
 
     #[test]
     fn broadwell_slab_is_four_bytes_per_way() {
-        let c = Llc::new(LlcConfig::broadwell_14c(), 2);
+        let mut c = Llc::new(LlcConfig::broadwell_14c(), 2);
+        cpu(&mut c, PhysAddr(0), false, &mut [0; 2]);
         assert_eq!(std::mem::size_of_val(&*c.words), 4 * c.n_sets * c.cfg.ways);
+    }
+
+    #[test]
+    fn unfilled_llc_holds_no_slab() {
+        let mut c = Llc::new(LlcConfig::broadwell_14c(), 2);
+        assert_eq!(c.slab_bytes(), 0, "a new LLC holds no slab");
+        assert_eq!(c.peek(PhysAddr(0)), None);
+        assert_eq!(c.resident_lines(), 0);
+        c.flush_all();
+        assert_eq!(
+            c.slab_bytes(),
+            0,
+            "peek, resident_lines or flush_all allocated"
+        );
+    }
+
+    /// The first `cpu_walk` or `ddio_fill` takes the whole slab at once,
+    /// and a walk over other sets and tags takes nothing more.
+    #[test]
+    fn first_fill_takes_the_whole_slab() {
+        let cfg = LlcConfig::broadwell_14c();
+        let (sets, ways) = (cfg.sets() as usize, cfg.ways);
+        for ddio in [false, true] {
+            let mut c = Llc::new(cfg, 2);
+            let mut wb = [0; 2];
+            let mut fill = |c: &mut Llc, first: u64| {
+                if ddio {
+                    c.ddio_fill(first, 64, &mut wb);
+                } else {
+                    c.cpu_walk(&mut [], &mut [], first, 64, true, &mut wb);
+                }
+            };
+            fill(&mut c, 0);
+            assert_eq!(
+                (c.words.len(), c.lens.len()),
+                (sets * ways, sets),
+                "ddio {ddio}"
+            );
+            let slab = (c.words.as_ptr(), c.lens.as_ptr(), c.slab_bytes());
+            fill(&mut c, 7 * sets as u64 - 5);
+            assert_eq!(
+                (c.words.as_ptr(), c.lens.as_ptr(), c.slab_bytes()),
+                slab,
+                "ddio {ddio}: the second walk reallocated"
+            );
+            assert_eq!(c.resident_lines(), 128);
+        }
     }
 }

@@ -840,6 +840,34 @@ mod tests {
         }
     }
 
+    /// Node-0 CPUs and devices on both nodes touch only node-0 memory, so
+    /// no walk fills node 1's LLC: every read path that could reach it is
+    /// gated on `holds_home`, which is false for an unfilled LLC, and it
+    /// takes its slab only at a node-1 CPU's first access.
+    #[test]
+    fn node_0_traffic_leaves_node_1_llc_unfilled() {
+        let mut m = mem();
+        let buf = m.alloc(N0, 1 << 16);
+        m.cpu_read(Time::ZERO, N0, buf, 4096, AccessKind::Stream);
+        m.cpu_write(Time::ZERO, N0, buf.offset(4096), 4096, AccessKind::Stream);
+        m.dma_write(Time::ZERO, N0, buf.offset(8192), 4096);
+        m.dma_read(Time::ZERO, N0, buf, 12288);
+        m.dma_write(Time::ZERO, N1, buf.offset(4096), 4096);
+        m.dma_read(Time::ZERO, N1, buf, 12288);
+        assert!(
+            m.llcs[0].resident_lines() > 0,
+            "node 0's LLC holds the buffer"
+        );
+        assert_eq!(m.llcs[1].slab_bytes(), 0, "node 1's LLC holds a slab");
+        assert_eq!(m.peek_line(N1, buf), None);
+        m.cpu_read(Time::ZERO, N1, buf, 64, AccessKind::Pointer);
+        assert!(
+            m.llcs[1].slab_bytes() > 0,
+            "a node-1 read fills node 1's LLC"
+        );
+        assert_eq!(m.peek_line(N1, buf), Some(LineState::Shared));
+    }
+
     #[test]
     fn pointer_read_exposes_more_latency_than_stream() {
         let mut m = mem();

@@ -76,7 +76,9 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(move || {
-                    let mut mine = Vec::new();
+                    // Room for every item up front: one allocation per
+                    // worker, however many items it ends up claiming.
+                    let mut mine = Vec::with_capacity(n);
                     loop {
                         // A statement of its own, so the guard is released
                         // before `f` runs.
